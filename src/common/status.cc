@@ -18,6 +18,8 @@ const char* StatusCodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kCorruption:
       return "Corruption";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
   }
   return "Unknown";
 }

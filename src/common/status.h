@@ -22,6 +22,7 @@ enum class StatusCode {
   kUnimplemented = 4,
   kInternal = 5,
   kCorruption = 6,
+  kResourceExhausted = 7,
 };
 
 /// Returns a stable human-readable name for a status code ("OK",
@@ -58,6 +59,9 @@ class [[nodiscard]] Status {
   }
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

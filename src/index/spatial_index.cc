@@ -24,12 +24,6 @@ std::vector<SpatialEntry> SpatialIndex::Materialize(
   return results;
 }
 
-std::vector<SpatialEntry> SpatialIndex::Query(const Box& box) const {
-  ONION_CHECK(curve_->universe().Contains(box));
-  // The decomposition is exact, so every scanned entry lies in the box.
-  return Materialize(DecomposeBox(*curve_, box), 0);
-}
-
 namespace {
 
 /// One past the limit, so the VectorCursor can see whether data remains

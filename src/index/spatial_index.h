@@ -75,17 +75,7 @@ class SpatialIndex {
   /// Streams the whole index in (curve key, payload) order.
   std::unique_ptr<Cursor> NewScanCursor(const ReadOptions& options = {}) const;
 
-  /// DEPRECATED: all entries inside `box`, in curve-key order. Updates
-  /// `stats_`. The materializing twin of NewBoxCursor, kept for
-  /// compatibility — it aborts on an out-of-universe box instead of
-  /// reporting a Status and cannot bound its work; prefer the cursor,
-  /// which is drop-in interchangeable with the on-disk SfcTable's.
-  [[deprecated(
-      "materializes the whole result and aborts on bad input; use "
-      "NewBoxCursor")]]
-  std::vector<SpatialEntry> Query(const Box& box) const;
-
-  /// Statistics accumulated by Query calls since the last Reset.
+  /// Statistics accumulated by cursor calls since the last Reset.
   const QueryStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 

@@ -196,6 +196,9 @@ Status SfcClient::Call(MessageType type, const std::vector<uint8_t>& payload,
   if (!id.ok()) return id.status();
   const Status status = ReadResponse(out);
   if (!status.ok()) return status;
+  // Request id 0 is never sent: an error under it is addressed to the
+  // connection, e.g. an admission-control refusal.
+  if (out->request_id == 0 && !out->status.ok()) return out->status;
   if (out->request_id != id.value() ||
       out->request_type != static_cast<uint8_t>(type)) {
     return Status::Corruption("response does not match request (id " +

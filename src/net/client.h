@@ -51,7 +51,9 @@ class SfcClient {
   SfcClient& operator=(const SfcClient&) = delete;
 
   /// Opens the TCP connection (blocking, TCP_NODELAY). InvalidArgument on
-  /// a bad address, Internal on socket errors.
+  /// a bad address, Internal on socket errors. A server at its connection
+  /// limit still completes the connect; the first synchronous call then
+  /// returns the server's ResourceExhausted refusal.
   Status Connect(const std::string& host, uint16_t port);
   void Disconnect();
   bool connected() const { return fd_ >= 0; }
@@ -120,6 +122,8 @@ class SfcClient {
   Result<uint64_t> SendRequest(MessageType type,
                                const std::vector<uint8_t>& payload);
   /// Send + ReadResponse + request-id/type match + remote status folding.
+  /// An error response under request id 0 (a connection-level error such
+  /// as an admission refusal) is returned as its own status.
   Status Call(MessageType type, const std::vector<uint8_t>& payload,
               Response* out);
 

@@ -163,7 +163,9 @@ bool ReadStatusHeader(PayloadReader* reader, Status* status) {
   uint8_t code = 0;
   std::string message;
   if (!reader->ReadU8(&code) || !reader->ReadString(&message)) return false;
-  if (code > static_cast<uint8_t>(StatusCode::kCorruption)) return false;
+  if (code > static_cast<uint8_t>(StatusCode::kResourceExhausted)) {
+    return false;
+  }
   *status = Status(static_cast<StatusCode>(code), std::move(message));
   return true;
 }

@@ -19,6 +19,9 @@ namespace onion::net {
 
 namespace {
 
+/// Refused connections parked at once; past this, refusal closes at once.
+constexpr size_t kMaxRefusedConnections = 64;
+
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
@@ -118,6 +121,7 @@ void SfcServer::Stop() {
   while (!sessions_.empty()) {
     CloseSession(sessions_.begin()->first, "server stop");
   }
+  while (!refused_.empty()) CloseRefused(refused_.begin()->first);
   for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
     if (*fd >= 0) {
       ::close(*fd);
@@ -170,6 +174,10 @@ void SfcServer::Loop() {
         AcceptReady();
         continue;
       }
+      if (refused_.count(fd) != 0) {
+        RefusedReadable(fd);
+        continue;
+      }
       const auto it = sessions_.find(fd);
       if (it == sessions_.end()) continue;  // closed earlier this batch
       Session* session = it->second.get();
@@ -213,7 +221,7 @@ void SfcServer::AcceptReady() {
     if (fd < 0) return;  // EAGAIN or transient error: nothing more to accept
     if (sessions_.size() >= options_.max_connections) {
       connections_refused_->Increment();
-      ::close(fd);
+      Refuse(fd);
       continue;
     }
     const int one = 1;
@@ -240,6 +248,51 @@ void SfcServer::AcceptReady() {
     connections_accepted_->Increment();
     active_connections_->Add(1);
   }
+}
+
+void SfcServer::Refuse(int fd) {
+  if (refused_.size() >= kMaxRefusedConnections) {
+    ::close(fd);
+    return;
+  }
+  std::vector<uint8_t> payload;
+  AppendStatusHeader(&payload,
+                     Status::ResourceExhausted(
+                         "server at max_connections (" +
+                         std::to_string(options_.max_connections) + ")"));
+  const std::vector<uint8_t> frame = EncodeFrame(
+      0, static_cast<uint8_t>(MessageType::kPing) | kResponseBit, payload);
+  // A fresh socket's send buffer always has room for one small frame; if
+  // the peer is already gone the send fails and EOF follows anyway.
+  [[maybe_unused]] const ssize_t sent =
+      ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+  ::shutdown(fd, SHUT_WR);
+  epoll_event ev = {};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    ::close(fd);
+    return;
+  }
+  refused_.emplace(fd, obs::NowMicros());
+}
+
+void SfcServer::RefusedReadable(int fd) {
+  uint8_t buf[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n > 0) continue;  // discarded: a refused peer is never served
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    CloseRefused(fd);  // EOF or error
+    return;
+  }
+}
+
+void SfcServer::CloseRefused(int fd) {
+  if (epoll_fd_ >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  ::close(fd);
+  refused_.erase(fd);
 }
 
 void SfcServer::SessionReadable(Session* session) {
@@ -450,6 +503,11 @@ void SfcServer::ExpireStale(uint64_t now_us) {
     ring.Add(std::move(event));
     CloseSession(fd, "session deadline");
   }
+  std::vector<int> refused_stale;
+  for (const auto& [fd, since_us] : refused_) {
+    if (now_us - since_us > deadline_us) refused_stale.push_back(fd);
+  }
+  for (const int fd : refused_stale) CloseRefused(fd);
 }
 
 // --- request executors ----------------------------------------------------

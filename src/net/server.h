@@ -25,8 +25,12 @@
 //                     reading, the queue fills, the server STOPS READING
 //                     its requests (EPOLLIN off) — so a slow consumer is
 //                     throttled instead of ballooning server memory.
-//   admission control at most max_connections sessions; further accepts
-//                     are closed immediately (net.connections_refused).
+//   admission control at most max_connections sessions. A further accept
+//                     gets one ResourceExhausted error frame (request id
+//                     0), a write-side shutdown, and is closed at the
+//                     peer's EOF or the next deadline sweep
+//                     (net.connections_refused; wire contract in
+//                     docs/network_protocol.md).
 //   session deadline  a session that makes no progress (no bytes read
 //                     from it, no bytes written to it) for
 //                     session_idle_deadline_ms is force-expired: its
@@ -65,8 +69,8 @@ struct SfcServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Admission control: accepted connections beyond this are closed
-  /// immediately.
+  /// Admission control: accepted connections beyond this are refused
+  /// with a ResourceExhausted frame (see the class comment).
   size_t max_connections = 8192;
   /// Backpressure bound on one session's outgoing queue; when exceeded
   /// the server stops reading that session's requests until the queue
@@ -148,6 +152,12 @@ class SfcServer {
 
   void Loop();
   void AcceptReady();
+  /// Admission-control refusal of a freshly accepted fd: error frame,
+  /// shutdown(SHUT_WR), then parked in refused_ until the peer's EOF.
+  void Refuse(int fd);
+  /// Discards a refused connection's input; closes it at EOF or error.
+  void RefusedReadable(int fd);
+  void CloseRefused(int fd);
   /// Reads until EAGAIN, then processes buffered frames.
   void SessionReadable(Session* session);
   void SessionWritable(Session* session);
@@ -162,7 +172,8 @@ class SfcServer {
   /// and backpressure state.
   void UpdateInterest(Session* session);
   void CloseSession(int fd, const char* reason);
-  /// The deadline sweep: force-expires sessions without progress.
+  /// The deadline sweep: force-expires sessions without progress and
+  /// closes refused connections older than the deadline.
   void ExpireStale(uint64_t now_us);
 
   // Request executors (each appends the response payload after a status
@@ -217,6 +228,10 @@ class SfcServer {
   // Loop-thread-owned state (never touched while the loop runs, except by
   // the loop itself; Start/Stop serialize around the thread's lifetime).
   std::map<int, std::unique_ptr<Session>> sessions_;
+  /// Refused connections awaiting the peer's EOF: fd -> refusal time.
+  /// Closing one with its request still unread would make the kernel
+  /// answer with RST and the client would never read the error frame.
+  std::map<int, uint64_t> refused_;
   uint64_t next_session_id_ = 0;
   uint64_t next_snapshot_id_ = 0;
   uint64_t next_cursor_id_ = 0;

@@ -13,10 +13,9 @@ namespace {
 
 constexpr char kMagic[8] = {'O', 'S', 'F', 'C', 'S', 'E', 'G', '1'};
 constexpr uint32_t kFormatVersion = 3;     // what SegmentWriter emits
-constexpr uint64_t kHeaderBytesV1 = 64;
-constexpr uint64_t kHeaderBytesV2 = 96;    // v3 shares the v2 layout
+constexpr uint64_t kHeaderBytesV2 = 96;    // the header layout since v2
 constexpr uint64_t kPageIndexRecordBytes = 32;
-/// Trailing CRC32C of every v3 page's encoded bytes.
+/// Trailing CRC32C of every page's encoded bytes.
 constexpr uint64_t kPageCrcBytes = 4;
 /// Bytes one page contributes to the zone-map block: (lo, hi) u32 per dim.
 constexpr uint64_t kZoneBytesPerDim = 8;
@@ -27,9 +26,7 @@ uint64_t HeaderChecksum(uint32_t version, uint32_t entries_per_page,
                         uint64_t index_offset, uint32_t codec_id,
                         uint32_t filter_bits, uint64_t filter_offset,
                         uint64_t filter_bytes, uint32_t zone_dims) {
-  // xor-fold with distinct rotations so field swaps change the sum. The
-  // v2-only fields are zero for version-1 headers, which keeps this
-  // function byte-compatible with the checksums already on disk.
+  // xor-fold with distinct rotations so field swaps change the sum.
   uint64_t sum = 0x0410105fc5e671ULL;  // salt
   sum ^= Rotl64(static_cast<uint64_t>(version) << 32 | entries_per_page, 1);
   sum ^= Rotl64(num_entries, 7);
@@ -106,7 +103,7 @@ SegmentWriter::~SegmentWriter() {
 
 Status SegmentWriter::WritePage() {
   std::vector<uint8_t> bytes;
-  EncodePage(options_.codec, page_buf_, /*with_seqs=*/true, &bytes);
+  EncodePage(options_.codec, page_buf_, &bytes);
   // Per-page block checksum: decoders verify it before touching the
   // encoding, so a flipped bit surfaces as Status::Corruption instead of
   // silently wrong entries.
@@ -267,90 +264,26 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(std::string path) {
   std::unique_ptr<SegmentReader> reader(
       new SegmentReader(std::move(path), file));
 
-  // All versions share the first 64 bytes of header layout; versions 2
-  // and 3 extend it to 96. Read the common prefix, dispatch on the
-  // version.
   uint8_t header[kHeaderBytesV2];
-  if (std::fread(header, 1, kHeaderBytesV1, file) != kHeaderBytesV1) {
+  if (std::fread(header, 1, kHeaderBytesV2, file) != kHeaderBytesV2) {
     return CorruptError(reader->path_, "segment too short");
   }
   if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     return CorruptError(reader->path_, "bad segment magic");
   }
   const uint32_t version = GetU32(header + 8);
-  Status status;
-  if (version == 1) {
-    status = reader->LoadV1(header);
-  } else if (version == 2 || version == 3) {
-    if (std::fread(header + kHeaderBytesV1, 1,
-                   kHeaderBytesV2 - kHeaderBytesV1,
-                   file) != kHeaderBytesV2 - kHeaderBytesV1) {
-      return CorruptError(reader->path_, "segment too short");
-    }
-    status = reader->LoadV2(header, version);
-  } else {
+  if (version != kFormatVersion) {
     return Status::InvalidArgument(
         "unsupported segment format version " + std::to_string(version) +
-        " (this build reads versions 1 through 3): " + reader->path_);
+        " (this build reads version " + std::to_string(kFormatVersion) +
+        "): " + reader->path_);
   }
+  const Status status = reader->Load(header);
   if (!status.ok()) return status;
   return reader;
 }
 
-Status SegmentReader::LoadV1(const uint8_t* header) {
-  version_ = 1;
-  codec_ = PageCodec::kRaw;
-  entries_per_page_ = GetU32(header + 12);
-  num_entries_ = GetU64(header + 16);
-  const uint64_t num_pages = GetU64(header + 24);
-  min_key_ = GetU64(header + 32);
-  max_key_ = GetU64(header + 40);
-  const uint64_t fence_offset = GetU64(header + 48);
-  const uint64_t checksum = GetU64(header + 56);
-  if (entries_per_page_ < 1) {
-    return CorruptError(path_, "segment page size is zero");
-  }
-  if (checksum != HeaderChecksum(1, entries_per_page_, num_entries_,
-                                 num_pages, min_key_, max_key_, fence_offset,
-                                 0, 0, 0, 0, 0)) {
-    return CorruptError(path_, "segment header checksum mismatch");
-  }
-  const uint64_t page_bytes =
-      static_cast<uint64_t>(entries_per_page_) * kEntryBytes;
-  const uint64_t expected_pages =
-      (num_entries_ + entries_per_page_ - 1) / entries_per_page_;
-  const uint64_t expected_fence_offset =
-      kHeaderBytesV1 + num_pages * page_bytes;
-  if (num_pages != expected_pages || fence_offset != expected_fence_offset) {
-    return CorruptError(path_, "segment geometry corrupt");
-  }
-
-  std::vector<uint8_t> fence_bytes(num_pages * kEntryBytes);
-  if (!SeekTo(file_, fence_offset) ||
-      (!fence_bytes.empty() &&
-       std::fread(fence_bytes.data(), 1, fence_bytes.size(), file_) !=
-           fence_bytes.size())) {
-    return CorruptError(path_, "segment fence block truncated");
-  }
-  pages_.reserve(num_pages);
-  for (uint64_t i = 0; i < num_pages; ++i) {
-    PageMeta meta;
-    meta.offset = kHeaderBytesV1 + i * page_bytes;
-    meta.bytes = page_bytes;  // v1 pages are fixed-size (zero-padded)
-    meta.first_key = GetU64(&fence_bytes[i * kEntryBytes]);
-    meta.last_key = GetU64(&fence_bytes[i * kEntryBytes + 8]);
-    if (meta.first_key > meta.last_key ||
-        (i > 0 && meta.first_key < pages_.back().last_key)) {
-      return CorruptError(path_, "segment fence index not sorted");
-    }
-    pages_.push_back(meta);
-  }
-  file_bytes_ = kHeaderBytesV1 + num_pages * (page_bytes + kEntryBytes);
-  return Status::OK();
-}
-
-Status SegmentReader::LoadV2(const uint8_t* header, uint32_t version) {
-  version_ = version;
+Status SegmentReader::Load(const uint8_t* header) {
   entries_per_page_ = GetU32(header + 12);
   num_entries_ = GetU64(header + 16);
   const uint64_t num_pages = GetU64(header + 24);
@@ -371,10 +304,10 @@ Status SegmentReader::LoadV2(const uint8_t* header, uint32_t version) {
                                    std::to_string(codec_id) + ": " + path_);
   }
   codec_ = static_cast<PageCodec>(codec_id);
-  if (checksum != HeaderChecksum(version, entries_per_page_, num_entries_,
-                                 num_pages, min_key_, max_key_, index_offset,
-                                 codec_id, filter_bits, filter_offset,
-                                 filter_bytes, zone_dims_)) {
+  if (checksum != HeaderChecksum(kFormatVersion, entries_per_page_,
+                                 num_entries_, num_pages, min_key_, max_key_,
+                                 index_offset, codec_id, filter_bits,
+                                 filter_offset, filter_bytes, zone_dims_)) {
     return CorruptError(path_, "segment header checksum mismatch");
   }
   const uint64_t expected_pages =
@@ -446,6 +379,8 @@ Status SegmentReader::LoadV2(const uint8_t* header, uint32_t version) {
   return Status::OK();
 }
 
+uint32_t SegmentReader::format_version() const { return kFormatVersion; }
+
 Status SegmentReader::ReadPage(uint64_t page, std::vector<Entry>* out) const {
   ONION_CHECK_MSG(page < num_pages(), "page out of range");
   const PageMeta& meta = pages_[page];
@@ -466,24 +401,20 @@ Status SegmentReader::ReadPage(uint64_t page, std::vector<Entry>* out) const {
 Status SegmentReader::DecodePageBytes(uint64_t page, const uint8_t* data,
                                       size_t size,
                                       std::vector<Entry>* out) const {
-  size_t encoded_size = size;
-  if (version_ >= 3) {
-    // v3 pages end in a CRC32C over the encoded bytes; verify before
-    // decoding so a flipped bit can never produce silently wrong entries.
-    if (encoded_size < kPageCrcBytes) {
-      return Status::Corruption("segment page shorter than its checksum: " +
-                                path_);
-    }
-    encoded_size -= kPageCrcBytes;
-    const uint32_t stored = GetU32(data + encoded_size);
-    if (stored != Crc32c(data, encoded_size)) {
-      return Status::Corruption("segment page checksum mismatch: page " +
-                                std::to_string(page) + " of " + path_);
-    }
+  // Pages end in a CRC32C over the encoded bytes; verify before decoding
+  // so a flipped bit can never produce silently wrong entries.
+  if (size < kPageCrcBytes) {
+    return Status::Corruption("segment page shorter than its checksum: " +
+                              path_);
+  }
+  const size_t encoded_size = size - kPageCrcBytes;
+  const uint32_t stored = GetU32(data + encoded_size);
+  if (stored != Crc32c(data, encoded_size)) {
+    return Status::Corruption("segment page checksum mismatch: page " +
+                              std::to_string(page) + " of " + path_);
   }
   const uint64_t count = PageEnd(page) - PageBegin(page);
-  if (!DecodePage(codec_, data, encoded_size, count,
-                  /*with_seqs=*/version_ >= 3, out)) {
+  if (!DecodePage(codec_, data, encoded_size, count, out)) {
     return Status::Corruption("segment page decode failed: page " +
                               std::to_string(page) + " of " + path_);
   }
@@ -495,20 +426,11 @@ Status SegmentReader::ReadPages(uint64_t first_page, uint64_t count,
   ONION_CHECK_MSG(count > 0 && first_page < num_pages() &&
                       count <= num_pages() - first_page,
                   "page run out of range");
-  // The writer lays pages back-to-back, so a run of pages is one
-  // contiguous byte span. Verify rather than assume — if a foreign layout
-  // ever interleaves other blocks, fall back to the per-page loop.
+  // Load() verified that pages lie back to back, so a run of pages is
+  // one contiguous byte span.
   const uint64_t base = pages_[first_page].offset;
-  uint64_t span = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (pages_[first_page + i].offset != base + span) {
-      return PageSource::ReadPages(first_page, count, out);
-    }
-    span += pages_[first_page + i].bytes;
-  }
   out->clear();
   out->resize(count);
-  (void)span;
 #if defined(ONION_HAVE_PREADV)
   // One positioned vectored read for the whole run, scattered straight
   // into one buffer per page. preadv never touches the descriptor's file
@@ -543,6 +465,8 @@ Status SegmentReader::ReadPages(uint64_t first_page, uint64_t count,
     }
   }
 #else
+  const uint64_t span = pages_[first_page + count - 1].offset +
+                        pages_[first_page + count - 1].bytes - base;
   std::vector<uint8_t> bytes(span);
   {
     // One seek + one transfer for the whole run; this is the entire point

@@ -25,8 +25,7 @@
 //                                entries; may be absent (written when the
 //                                writer was given a curve).
 //                page index    — per page: byte offset, encoded length,
-//                                first key, last key. The fence index of
-//                                format v1, now carrying offsets too.
+//                                first key, last key (the fence index).
 //
 // The filter block and zone maps are loaded into memory on open and
 // answer MayContainKey / PageMayIntersect probes without page I/O: a
@@ -34,14 +33,10 @@
 // zone-map probe skips one page of a box query. Both are conservative —
 // false never lies.
 //
-// Older formats open read-only through the same SegmentReader: version 2
-// pages (same layout, no seqs, no page checksums) decode with seq 0;
-// version 1 (fixed-size raw pages + fence block) loads its fences as a
-// page index with computed offsets and decodes through the kRaw codec.
-// Unknown versions are rejected with a clear Status. Compaction rewrites
-// every segment it touches with the current writer, so old files upgrade
-// to v3 on their next compaction. A v3 page whose CRC32C or encoding does
-// not validate fails ReadPage with Status::Corruption.
+// SegmentReader opens version 3 only; any other version is rejected with
+// Status::InvalidArgument ("unsupported segment format version"). A page
+// whose CRC32C or encoding does not validate fails ReadPage with
+// Status::Corruption.
 //
 // SegmentWriter streams sorted entries to a new file; SegmentReader opens
 // and validates an existing file and serves pages through the PageSource
@@ -140,7 +135,7 @@ class SegmentWriter {
   bool finished_ = false;
 };
 
-/// Read side of a segment file (format v1 or v2). Validates the header and
+/// Read side of a segment file (format v3). Validates the header and
 /// footer blocks on open, keeps the page index, filter, and zone maps in
 /// memory, and reads pages with positioned file I/O on demand. ReadPage()
 /// is safe to call from multiple threads (the seek+read pair is serialized
@@ -160,7 +155,7 @@ class SegmentReader final : public PageSource {
   }
   Key last_key(uint64_t page) const override { return pages_[page].last_key; }
   /// Reads and decodes one page; Status::Corruption when the page's
-  /// CRC32C (format v3) or its encoding does not validate.
+  /// CRC32C or its encoding does not validate.
   Status ReadPage(uint64_t page, std::vector<Entry>* out) const override;
 
   /// Batched read: one positioned vectored transfer (PreadvFull) scatters
@@ -178,7 +173,7 @@ class SegmentReader final : public PageSource {
     ONION_CHECK_MSG(page < num_pages(), "page out of range");
     return pages_[page].bytes;
   }
-  /// Bloom probe; always true for v1 segments (no filter block).
+  /// Bloom probe; always true for segments without a filter block.
   bool MayContainKey(Key key) const override {
     return BloomMayContain(filter_.data(), filter_.size(), key);
   }
@@ -190,9 +185,10 @@ class SegmentReader final : public PageSource {
   Key min_key() const { return min_key_; }
   Key max_key() const { return max_key_; }
   const std::string& path() const { return path_; }
-  /// On-disk format version this file was written with (1, 2, or 3).
-  uint32_t format_version() const { return version_; }
-  /// Codec its pages are encoded with (kRaw for v1 files).
+  /// On-disk format version this file was written with (always 3: no
+  /// other version opens).
+  uint32_t format_version() const;
+  /// Codec its pages are encoded with.
   PageCodec codec() const { return codec_; }
   /// Bytes of the in-file bloom filter block (0 when absent).
   uint64_t filter_bytes() const { return filter_.size(); }
@@ -208,20 +204,18 @@ class SegmentReader final : public PageSource {
   };
 
   SegmentReader(std::string path, std::FILE* file);
-  /// Validates (v3 CRC32C) and decodes one page's encoded bytes, already
-  /// in memory — the shared tail of ReadPage and ReadPages.
+  /// Validates (CRC32C) and decodes one page's encoded bytes, already in
+  /// memory — the shared tail of ReadPage and ReadPages.
   Status DecodePageBytes(uint64_t page, const uint8_t* data, size_t size,
                          std::vector<Entry>* out) const;
-  Status LoadV1(const uint8_t* header);
-  /// Shared loader for the v2/v3 header layout (identical fields).
-  Status LoadV2(const uint8_t* header, uint32_t version);
+  /// Validates the header fields and loads the footer blocks.
+  Status Load(const uint8_t* header);
 
   std::string path_;
   // The stream position of file_ is the shared state io_mu_ serializes:
   // every post-construction use is ReadPage's seek+read pair under it.
   mutable std::FILE* file_;
   mutable Mutex io_mu_;
-  uint32_t version_ = 1;
   PageCodec codec_ = PageCodec::kRaw;
   uint32_t entries_per_page_ = 1;
   uint64_t num_entries_ = 0;

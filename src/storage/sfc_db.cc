@@ -20,10 +20,8 @@ namespace {
 
 constexpr char kCatalogName[] = "CATALOG";
 constexpr char kCatalogFormat[] = "onion-sfc-db";
-/// Version 2 added `index` lines (secondary indexes); version-1 catalogs
-/// (no indexes) still open and are upgraded by the next rewrite.
+/// The only version written and read; any other is rejected at open.
 constexpr int kCatalogVersion = 2;
-constexpr int kMinCatalogVersion = 1;
 
 /// Infix separating a base table name from an index name in a hidden
 /// index directory ("<table>__idx__<index>[__g<N>]"). User table and
@@ -207,7 +205,7 @@ Result<std::unique_ptr<SfcDb>> SfcDb::Open(const std::string& dir,
       if (!in || format != kCatalogFormat) {
         return Status::InvalidArgument("bad catalog format in " + dir);
       }
-      if (version < kMinCatalogVersion || version > kCatalogVersion) {
+      if (version != kCatalogVersion) {
         return Status::InvalidArgument("unsupported catalog version " +
                                        std::to_string(version) + " in " + dir);
       }
@@ -221,7 +219,7 @@ Result<std::unique_ptr<SfcDb>> SfcDb::Open(const std::string& dir,
                                            "' in catalog of " + dir);
           }
           db->catalog_.push_back(name);
-        } else if (field == "index" && version >= 2) {
+        } else if (field == "index") {
           std::string table, index, extractor, curve, index_dir;
           if (!(in >> table >> index >> extractor >> curve >> index_dir)) {
             return Status::InvalidArgument("truncated index line in catalog of " +

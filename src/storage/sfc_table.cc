@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "index/decompose.h"
@@ -16,14 +17,7 @@ namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestFormat[] = "onion-sfc-table";
-// Version 4 adds the `last_sequence` line (the MVCC sequence fence: the
-// newest sequence number durably in segments). Version 3 added the
-// `codec` and `filter_bits_per_key` lines (segment format v2); version 2
-// added the per-segment level and the WAL floor; version 1 manifests (no
-// levels, no WALs) are still readable — their segments all load as level
-// 0. Older versions default the missing fields (last_sequence 0, the
-// caller's codec options) and are rewritten as version 4 on the next
-// flush or compaction.
+// The only version written and read; any other is rejected at open.
 constexpr int kManifestVersion = 4;
 
 constexpr char kWalPrefix[] = "wal_";
@@ -360,7 +354,7 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
   if (!in || format != kManifestFormat) {
     return Status::InvalidArgument("bad manifest format in " + dir);
   }
-  if (version < 1 || version > kManifestVersion) {
+  if (version != kManifestVersion) {
     return Status::InvalidArgument("unsupported manifest version " +
                                    std::to_string(version) + " in " + dir);
   }
@@ -369,12 +363,10 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
   Coord side = 0;
   uint32_t entries_per_page = 0;
   uint64_t next_segment_id = 0;
-  uint64_t wal_floor = 0;
-  uint64_t last_sequence = 0;
-  PageCodec codec = PageCodec::kRaw;
-  bool has_codec = false;
-  uint32_t filter_bits_per_key = 0;
-  bool has_filter_bits = false;
+  std::optional<uint64_t> wal_floor;
+  std::optional<uint64_t> last_sequence;
+  std::optional<PageCodec> codec;
+  std::optional<uint32_t> filter_bits_per_key;
   std::vector<std::pair<int, std::string>> segment_files;  // (level, file)
   std::string field;
   while (in >> field) {
@@ -389,25 +381,24 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
     } else if (field == "codec") {
       std::string codec_name;
       in >> codec_name;
-      if (!ParsePageCodec(codec_name, &codec)) {
+      PageCodec parsed = PageCodec::kRaw;
+      if (!ParsePageCodec(codec_name, &parsed)) {
         return Status::InvalidArgument("unknown manifest codec '" +
                                        codec_name + "' in " + dir);
       }
-      has_codec = true;
+      codec = parsed;
     } else if (field == "filter_bits_per_key") {
-      in >> filter_bits_per_key;
-      has_filter_bits = true;
+      in >> filter_bits_per_key.emplace();
     } else if (field == "next_segment_id") {
       in >> next_segment_id;
     } else if (field == "wal_floor") {
-      in >> wal_floor;
+      in >> wal_floor.emplace();
     } else if (field == "last_sequence") {
-      in >> last_sequence;
+      in >> last_sequence.emplace();
     } else if (field == "segment") {
       int level = 0;
       std::string file;
-      if (version >= 2) in >> level;
-      in >> file;
+      in >> level >> file;
       if (level < 0) {
         return Status::InvalidArgument("negative segment level in " + dir);
       }
@@ -417,27 +408,26 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
                                      "' in " + dir);
     }
   }
-  if (curve_name.empty() || dims < 1 || side < 1 || entries_per_page < 1) {
+  if (curve_name.empty() || dims < 1 || side < 1 || entries_per_page < 1 ||
+      !codec || !filter_bits_per_key || !wal_floor || !last_sequence) {
     return Status::InvalidArgument("incomplete manifest in " + dir);
   }
 
   auto curve = MakeCurve(curve_name, Universe(dims, side));
   if (!curve.ok()) return curve.status();
   SfcTableOptions effective = options;
-  // Page geometry — and, since manifest v3, the codec and filter budget —
-  // are properties of the table on disk, not of the caller. Manifests
-  // older than v3 lack the codec lines; those tables adopt the caller's
-  // options and record them on the next manifest write.
+  // Page geometry, codec and filter budget are properties of the table on
+  // disk, not of the caller.
   effective.entries_per_page = entries_per_page;
-  if (has_codec) effective.codec = codec;
-  if (has_filter_bits) effective.filter_bits_per_key = filter_bits_per_key;
+  effective.codec = *codec;
+  effective.filter_bits_per_key = *filter_bits_per_key;
   const Status revalid = ValidateOptions(effective);
   if (!revalid.ok()) return revalid;
   std::unique_ptr<SfcTable> table(
       new SfcTable(dir, std::move(curve).value(), effective, shared));
   table->next_segment_id_ = next_segment_id;
-  table->wal_floor_ = wal_floor;
-  table->flushed_seq_ = last_sequence;
+  table->wal_floor_ = *wal_floor;
+  table->flushed_seq_ = *last_sequence;
   for (const auto& [level, file] : segment_files) {
     auto reader = SegmentReader::Open(table->SegmentPath(file));
     if (!reader.ok()) return reader.status();
@@ -479,22 +469,18 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
   std::sort(wal_files.begin(), wal_files.end());
   uint64_t max_seen_id = 0;
   // Recovered sequence watermark: starts at the manifest's last_sequence
-  // (everything in segments) and advances over replayed WAL ops. Ops of
-  // version-1 WALs carry no sequence (they surface as 0) and get fresh
-  // ones synthesized in replay order — they predate snapshots, so any
-  // assignment preserving order is correct.
-  uint64_t recovered_seq = last_sequence;
+  // (everything in segments) and advances over replayed WAL ops.
+  uint64_t recovered_seq = *last_sequence;
   for (size_t i = 0; i < wal_files.size(); ++i) {
     const auto& [id, name] = wal_files[i];
     max_seen_id = std::max(max_seen_id, id);
-    if (id < wal_floor) {
+    if (id < *wal_floor) {
       std::remove((dir + "/" + name).c_str());  // fenced: pure GC
       continue;
     }
     auto replayed = ReplayWal(
         dir + "/" + name,
         [&](Key key, uint64_t payload, uint64_t sequence, bool tombstone) {
-          if (sequence == 0) sequence = recovered_seq + 1;  // synthesized
           recovered_seq = std::max(recovered_seq, sequence);
           table->memtable_.Insert(key, payload, PackSeq(sequence, tombstone));
         });
@@ -510,7 +496,7 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
     table->wal_files_.push_back(name);
   }
   table->max_wal_id_ = max_seen_id;
-  table->next_wal_id_ = std::max(wal_floor, max_seen_id + 1);
+  table->next_wal_id_ = std::max(*wal_floor, max_seen_id + 1);
   table->next_seq_ = recovered_seq + 1;
   table->last_applied_seq_.store(recovered_seq, std::memory_order_release);
 
@@ -1467,31 +1453,6 @@ Result<std::vector<uint64_t>> SfcTable::Get(const Cell& cell,
   }
   if (!cursor->status().ok()) return cursor->status();
   return payloads;
-}
-
-std::vector<SpatialEntry> SfcTable::Query(const Box& box) {
-  ONION_CHECK(curve_->universe().Contains(box));
-  const auto cursor = NewBoxCursor(box, ReadOptions{});
-  std::vector<SpatialEntry> results;
-  for (; cursor->Valid(); cursor->Next()) {
-    results.push_back(cursor->entry());
-    ONION_DCHECK(box.Contains(results.back().cell));
-  }
-  // The merge yields key order but leaves equal-key ties unspecified;
-  // restore the historical (key, payload) contract group by group. The
-  // curve is a bijection, so equal keys show up as equal cells — no need
-  // to recompute any key.
-  size_t group_begin = 0;
-  for (size_t i = 1; i <= results.size(); ++i) {
-    if (i == results.size() || !(results[i].cell == results[group_begin].cell)) {
-      std::sort(results.begin() + group_begin, results.begin() + i,
-                [](const SpatialEntry& a, const SpatialEntry& b) {
-                  return a.payload < b.payload;
-                });
-      group_begin = i;
-    }
-  }
-  return results;
 }
 
 TableReadStats SfcTable::read_stats() const {

@@ -273,20 +273,9 @@ class SfcTable {
     return Get(cell, ReadOptions{});
   }
 
-  /// DEPRECATED: materializing wrapper over NewBoxCursor(), kept for
-  /// callers that want the full result set as a vector sorted by
-  /// (curve key, payload). Aborts on an out-of-universe box and returns
-  /// an empty vector on background errors — prefer the cursor API, which
-  /// reports both through Status (and supports snapshots). Safe to call
-  /// from any number of threads, concurrently with Insert/Flush/Compact.
-  [[deprecated(
-      "materializes the whole result and swallows errors; use "
-      "NewBoxCursor")]]
-  std::vector<SpatialEntry> Query(const Box& box);
-
   /// Clean shutdown: Flush() barrier, then stops the table's background
   /// processing and marks the table closed — further Insert/Compact calls
-  /// fail with InvalidArgument while reads (cursors, Query, Get) remain
+  /// fail with InvalidArgument while reads (cursors, Get) remain
   /// valid. Idempotent: repeated calls return OK. Contrast with the
   /// destructor, which deliberately does NOT flush (crash semantics).
   Status Close();

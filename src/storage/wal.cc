@@ -14,20 +14,9 @@ constexpr char kWalMagic[8] = {'O', 'S', 'F', 'C', 'W', 'A', 'L', '1'};
 constexpr uint32_t kWalVersion = 2;  // what WalWriter emits
 constexpr uint64_t kWalHeaderBytes = 16;
 
-// Version-2 record geometry (per-op layout: kWalOpBytes in wal.h).
+// Record geometry (per-op layout: kWalOpBytes in wal.h).
 constexpr uint64_t kRecordPrefixBytes = 12;  // u32 num_ops + u64 first_seq
 constexpr uint64_t kRecordCrcBytes = 4;
-
-// Version-1 record geometry (fixed single-put records).
-constexpr uint64_t kV1RecordBytes = 24;
-
-/// The version-1 record checksum, kept verbatim for replay compatibility.
-uint64_t V1RecordChecksum(uint64_t key, uint64_t payload) {
-  uint64_t sum = 0x0410105fc5a10ULL;  // salt, distinct from the segment's
-  sum ^= Rotl64(key, 17);
-  sum ^= Rotl64(payload, 31);
-  return sum;
-}
 
 }  // namespace
 
@@ -167,29 +156,12 @@ Result<uint64_t> ReplayWal(
     return Status::InvalidArgument("bad WAL header: " + path);
   }
   const uint32_t version = GetU32(header + 8);
-  if (version != 1 && version != 2) {
+  if (version != kWalVersion) {
     std::fclose(file);
     return Status::InvalidArgument("unsupported WAL version " +
                                    std::to_string(version) + ": " + path);
   }
   uint64_t replayed = 0;
-  if (version == 1) {
-    // Legacy fixed-size single-put records; no sequence on disk — the
-    // caller synthesizes them in replay order.
-    uint8_t record[kV1RecordBytes];
-    while (std::fread(record, 1, kV1RecordBytes, file) == kV1RecordBytes) {
-      const uint64_t key = GetU64(record);
-      const uint64_t payload = GetU64(record + 8);
-      // A checksum mismatch means the record (and everything after it) is
-      // the torn tail of an interrupted append — stop, keeping what came
-      // before.
-      if (GetU64(record + 16) != V1RecordChecksum(key, payload)) break;
-      fn(key, payload, /*sequence=*/0, /*tombstone=*/false);
-      ++replayed;
-    }
-    std::fclose(file);
-    return replayed;
-  }
   std::vector<uint8_t> record;
   for (;;) {
     uint8_t prefix[kRecordPrefixBytes];

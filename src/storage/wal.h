@@ -24,9 +24,8 @@
 //            u8 type (0 = put, 1 = delete), u64 key, u64 payload
 //     [..] u32 CRC32C over everything above (num_ops through the last op)
 //
-// Version-1 files (fixed 24-byte single-put records, xor-rotate checksum,
-// no sequence numbers) remain replayable forever: their ops surface with
-// sequence 0 and the caller synthesizes fresh sequences in replay order.
+// Replay accepts version 2 only; any other version is rejected with
+// Status::InvalidArgument.
 //
 // Replay validates each record's checksum and treats the first short or
 // corrupt record as the torn tail of an interrupted append: everything
@@ -66,7 +65,7 @@ struct WalOp {
 };
 
 /// On-disk size of one encoded op: u8 type + u64 key + u64 payload. The
-/// SAME layout is used by WAL v2 records and the SfcDb batch journal —
+/// SAME layout is used by WAL records and the SfcDb batch journal —
 /// both go through the two helpers below, so the formats cannot drift.
 inline constexpr uint64_t kWalOpBytes = 17;
 /// Sanity cap on ops per record/journal slice; larger counts on disk are
@@ -182,9 +181,9 @@ class WalWriter {
 
 /// Replays the complete records of the WAL at `path` into `fn` — invoked
 /// once per op as fn(key, payload, sequence, tombstone), in append order —
-/// stopping silently at a torn tail. Ops of version-1 files carry
-/// sequence 0 (the caller synthesizes). Returns the number of OPS
-/// replayed, or an error if the file is missing or its header is invalid.
+/// stopping silently at a torn tail. Returns the number of OPS replayed,
+/// NotFound for a missing file, or InvalidArgument for a header with a bad
+/// magic or any version but 2.
 Result<uint64_t> ReplayWal(
     const std::string& path,
     const std::function<void(Key, uint64_t, uint64_t, bool)>& fn);

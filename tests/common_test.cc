@@ -38,6 +38,8 @@ TEST(StatusTest, AllCodesHaveNames) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kNotFound), "NotFound");
   EXPECT_STREQ(StatusCodeName(StatusCode::kUnimplemented), "Unimplemented");
   EXPECT_STREQ(StatusCodeName(StatusCode::kInternal), "Internal");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kResourceExhausted),
+               "ResourceExhausted");
 }
 
 TEST(ResultTest, HoldsValue) {

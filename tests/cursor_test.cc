@@ -1,5 +1,5 @@
-// Streaming-cursor tests: box-cursor vs Query() equivalence on mixed
-// memtable + L0 + deeper-level state, SfcTable vs SpatialIndex cursor
+// Streaming-cursor tests: box cursor vs a brute-force filter of the
+// inserted points on mixed memtable + L0 + deeper-level state, SfcTable vs SpatialIndex cursor
 // interchangeability, limit / page-budget early exit with page accounting,
 // snapshot isolation, and cursor-outlives-compaction safety (also run
 // under the CI TSan job).
@@ -47,11 +47,6 @@ uint64_t PagesTouched(const SfcTable& table) {
   return io.page_reads + io.cache_hits;
 }
 
-// The ONE remaining exercise of the deprecated materializing Query()
-// wrapper: equivalence coverage against the cursor path until its
-// removal. Every other caller in the tree streams through cursors.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 TEST(CursorTest, BoxCursorMatchesQueryOnMixedState) {
   // Small thresholds force several background flushes and at least one
   // leveling round while half the data is still unflushed: the cursor
@@ -88,13 +83,16 @@ TEST(CursorTest, BoxCursorMatchesQueryOnMixedState) {
       }
       EXPECT_TRUE(cursor->status().ok());
       EXPECT_FALSE(cursor->hit_read_budget());
+      std::vector<SpatialEntry> expected;
+      for (size_t i = 0; i < points.size(); ++i) {
+        if (box.Contains(points[i])) expected.push_back({points[i], i});
+      }
       EXPECT_EQ(Canonical(table.curve(), streamed),
-                Canonical(table.curve(), table.Query(box)))
+                Canonical(table.curve(), expected))
           << name << " " << box.ToString();
     }
   }
 }
-#pragma GCC diagnostic pop
 
 TEST(CursorTest, SfcTableAndSpatialIndexCursorsAgree) {
   const Universe universe(2, 64);

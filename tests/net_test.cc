@@ -365,6 +365,12 @@ TEST(NetServerTest, PipeliningSurvivesBackpressure) {
     ASSERT_TRUE(id.ok());
     ids.push_back(id.value());
   }
+  // Read nothing until the server has stalled: a client that reads as
+  // fast as the server writes may never let the queue pass its limit.
+  auto* stalls = ts.db->metrics().counter("net.write_queue_stalls");
+  for (int i = 0; i < 500 && stalls->value() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   for (const uint64_t want : ids) {
     Response response;
     ASSERT_TRUE(client.ReadResponse(&response).ok());
@@ -644,14 +650,28 @@ TEST(NetServerTest, AdmissionControlRefusesExcessConnections) {
   ASSERT_TRUE(b.Connect("127.0.0.1", ts.server->port()).ok());
   ASSERT_TRUE(a.Ping().ok());
   ASSERT_TRUE(b.Ping().ok());
-  // The third connection is accepted by the kernel but closed by the
-  // server before serving anything.
+  // The third connection is accepted by the kernel but refused by the
+  // server before serving anything: one ResourceExhausted frame under
+  // request id 0, then an orderly EOF.
   RawConn c;
   ASSERT_TRUE(c.Connect(ts.server->port()));
   ASSERT_TRUE(c.SendBytes(
       EncodeFrame(1, static_cast<uint8_t>(MessageType::kPing), {})));
+  Frame frame;
+  ASSERT_TRUE(c.ReadFrame(&frame).ok());
+  Response refusal;
+  ASSERT_TRUE(DecodeResponse(frame, &refusal).ok());
+  EXPECT_EQ(refusal.request_id, 0u);
+  EXPECT_EQ(refusal.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refusal.status.message().find("max_connections"),
+            std::string::npos)
+      << refusal.status.ToString();
   EXPECT_TRUE(c.WaitForClose());
-  EXPECT_GE(ts.db->metrics().counter("net.connections_refused")->value(), 1u);
+  // SfcClient surfaces the same refusal as the status of its first call.
+  SfcClient d;
+  ASSERT_TRUE(d.Connect("127.0.0.1", ts.server->port()).ok());
+  EXPECT_EQ(d.Ping().code(), StatusCode::kResourceExhausted);
+  EXPECT_GE(ts.db->metrics().counter("net.connections_refused")->value(), 2u);
   EXPECT_TRUE(a.Ping().ok());  // existing sessions unaffected
 }
 

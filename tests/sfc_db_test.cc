@@ -86,6 +86,26 @@ TEST(SfcDbTest, CatalogSurvivesReopen) {
   EXPECT_EQ(db.OpenTable("nope").status().code(), StatusCode::kNotFound);
 }
 
+TEST(SfcDbTest, RetiredCatalogVersionRejectedAtOpen) {
+  const std::string dir = FreshDir("retired_catalog");
+  {
+    auto db = SfcDb::Open(dir);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(
+        db.value()->CreateTable("points", "onion", Universe(2, 32)).ok());
+    ASSERT_TRUE(db.value()->Close().ok());
+  }
+  // Only catalog version 2 opens; version 1 is refused, not upgraded.
+  std::ofstream(dir + "/CATALOG", std::ios::trunc)
+      << "onion-sfc-db 1\ntable points\n";
+  auto db = SfcDb::Open(dir);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(db.status().ToString().find("unsupported catalog version 1"),
+            std::string::npos)
+      << db.status().ToString();
+}
+
 TEST(SfcDbTest, SharedPoolKeepsPerTableIoStatsIsolated) {
   const std::string dir = FreshDir("io_isolation");
   SfcDbOptions db_options;

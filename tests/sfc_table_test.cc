@@ -5,8 +5,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,7 +19,6 @@
 #include "sfc/registry.h"
 #include "storage/codec.h"
 #include "storage/sfc_table.h"
-#include "v1_segment_fixture.h"
 #include "workloads/generators.h"
 
 namespace onion::storage {
@@ -540,74 +540,6 @@ TEST(SfcTableTest, ManifestRecordsCodecAcrossReopen) {
   }
 }
 
-/// Builds a table directory whose MANIFEST (version 2, pre-codec) names
-/// one handcrafted v1 segment — exactly what a table left behind by the
-/// previous release looks like. The segment bytes come from the shared
-/// byte-exact fixture in v1_segment_fixture.h.
-void BuildV1FixtureTable(const std::string& dir,
-                         const std::vector<Entry>& entries) {
-  std::filesystem::create_directories(dir);
-  WriteV1SegmentFixture(dir + "/seg_0.sfc", entries, 16);
-  std::FILE* f = std::fopen((dir + "/MANIFEST").c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const std::string manifest =
-      "onion-sfc-table 2\n"
-      "curve hilbert\n"
-      "dims 2\n"
-      "side 32\n"
-      "entries_per_page 16\n"
-      "next_segment_id 1\n"
-      "wal_floor 0\n"
-      "segment 0 seg_0.sfc\n";
-  ASSERT_EQ(std::fwrite(manifest.data(), 1, manifest.size(), f),
-            manifest.size());
-  std::fclose(f);
-}
-
-TEST(SfcTableTest, V1FixtureOpensQueriesAndUpgradesOnCompaction) {
-  const Universe universe(2, 32);
-  auto curve = MakeCurve("hilbert", universe).value();
-  std::vector<Entry> v1_entries;
-  for (Key key = 0; key < universe.num_cells(); key += 3) {
-    v1_entries.push_back({key, key * 2});
-  }
-  const std::string dir = FreshDir("v1_fixture");
-  BuildV1FixtureTable(dir, v1_entries);
-
-  SfcTableOptions options;
-  options.codec = PageCodec::kDeltaVarint;  // the upgrade target
-  auto opened = SfcTable::Open(dir, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  auto& table = *opened.value();
-  EXPECT_EQ(table.size(), v1_entries.size());
-  {
-    const auto infos = table.SegmentInfos();
-    ASSERT_EQ(infos.size(), 1u);
-    EXPECT_EQ(infos[0].format_version, 1u);
-    EXPECT_EQ(infos[0].codec, PageCodec::kRaw);
-  }
-  // Queries read v1 pages through the same cursor path as v2.
-  const auto everything = CursorQuery(table, universe.Bounds());
-  ASSERT_EQ(everything.size(), v1_entries.size());
-  for (const SpatialEntry& entry : everything) {
-    EXPECT_EQ(entry.payload, curve->IndexOf(entry.cell) * 2);
-  }
-  // New data + compaction: the merged output is format v2 with the
-  // table's codec — the v1 file is upgraded out of existence.
-  for (uint64_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(table.Insert(Cell(i % 32, 31 - i % 32), 900000 + i).ok());
-  }
-  ASSERT_TRUE(table.Flush().ok());
-  ASSERT_TRUE(table.Compact().ok());
-  const auto infos = table.SegmentInfos();
-  ASSERT_EQ(infos.size(), 1u);
-  EXPECT_EQ(infos[0].format_version, 3u);
-  EXPECT_EQ(infos[0].codec, PageCodec::kDeltaVarint);
-  EXPECT_GT(infos[0].filter_bytes, 0u);
-  EXPECT_EQ(table.size(), v1_entries.size() + 50);
-  EXPECT_EQ(CursorQuery(table, universe.Bounds()).size(), v1_entries.size() + 50);
-}
-
 TEST(SfcTableTest, SnapshotPinsPreMutationStateAcrossFlushAndCompaction) {
   // The acceptance bar of the versioned read API: a snapshot taken before
   // N inserts + deletes + Flush() + Compact() still returns exactly the
@@ -757,26 +689,91 @@ TEST(SfcTableTest, CompactionDropsShadowedVersionsAndUnpinnedTombstones) {
   EXPECT_EQ(table.size(), 40u);  // fully collected
 }
 
-TEST(SfcTableTest, UnknownSegmentVersionRejectedAtOpenWithClearStatus) {
+/// Creates a closed table with one flushed segment; returns the segment's
+/// file name.
+std::string BuildClosedTable(const std::string& dir) {
   const Universe universe(2, 32);
-  std::vector<Entry> entries;
-  for (Key key = 0; key < 100; ++key) entries.push_back({key, key});
-  const std::string dir = FreshDir("future_segment");
-  BuildV1FixtureTable(dir, entries);
-  // Stamp a from-the-future format version into the segment header.
-  std::FILE* f = std::fopen((dir + "/seg_0.sfc").c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  uint8_t version_bytes[4];
-  PutU32(version_bytes, 9);
-  std::fseek(f, 8, SEEK_SET);
-  std::fwrite(version_bytes, 1, 4, f);
-  std::fclose(f);
-  auto opened = SfcTable::Open(dir);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(opened.status().ToString().find("unsupported segment format"),
-            std::string::npos)
-      << opened.status().ToString();
+  auto table = SfcTable::Create(dir, "hilbert", universe);
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  for (uint64_t i = 0; i < 100; ++i) {
+    EXPECT_TRUE(table.value()->Insert(Cell(i % 32, i / 32), i).ok());
+  }
+  EXPECT_TRUE(table.value()->Close().ok());
+  const auto infos = table.value()->SegmentInfos();
+  EXPECT_EQ(infos.size(), 1u);
+  return infos.empty() ? "" : infos[0].file;
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteWholeFile(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+TEST(SfcTableTest, UnknownSegmentVersionRejectedAtOpenWithClearStatus) {
+  // Only segment format 3 opens: the retired 1 and 2 and a future 7
+  // stamped into a writer-produced file all fail the table's open.
+  for (const uint32_t version : {1u, 2u, 7u}) {
+    const std::string dir = FreshDir("future_segment");
+    const std::string segment = BuildClosedTable(dir);
+    ASSERT_FALSE(segment.empty());
+    std::FILE* f = std::fopen((dir + "/" + segment).c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    uint8_t version_bytes[4];
+    PutU32(version_bytes, version);
+    std::fseek(f, 8, SEEK_SET);
+    std::fwrite(version_bytes, 1, 4, f);
+    std::fclose(f);
+    auto opened = SfcTable::Open(dir);
+    ASSERT_FALSE(opened.ok()) << version;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().ToString().find("unsupported segment format"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
+TEST(SfcTableTest, RetiredOrIncompleteManifestRejectedAtOpen) {
+  const std::string dir = FreshDir("retired_manifest");
+  ASSERT_FALSE(BuildClosedTable(dir).empty());
+  const std::string path = dir + "/MANIFEST";
+  const std::string written = ReadWholeFile(path);
+  const std::string head = "onion-sfc-table 4\n";
+  ASSERT_EQ(written.compare(0, head.size(), head), 0) << written;
+  // Manifest versions 1-3 are refused outright.
+  for (const char* version : {"1", "2", "3"}) {
+    WriteWholeFile(path, "onion-sfc-table " + std::string(version) + "\n" +
+                             written.substr(head.size()));
+    auto opened = SfcTable::Open(dir);
+    ASSERT_FALSE(opened.ok()) << version;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().ToString().find("unsupported manifest version"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  // A version-4 manifest lacking any line the writer always emits is
+  // incomplete, not defaulted.
+  for (const std::string field :
+       {"codec ", "filter_bits_per_key ", "wal_floor ", "last_sequence "}) {
+    const size_t at = written.find("\n" + field);
+    ASSERT_NE(at, std::string::npos) << field;
+    const size_t end = written.find('\n', at + 1);
+    WriteWholeFile(path, written.substr(0, at) + written.substr(end));
+    auto opened = SfcTable::Open(dir);
+    ASSERT_FALSE(opened.ok()) << field;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().ToString().find("incomplete manifest"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  WriteWholeFile(path, written);
+  auto reopened = SfcTable::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->size(), 100u);
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
 // Write-ahead-log unit tests: append/replay round trips for single-op and
 // multi-op (batch) records with sequence stamps and tombstones, torn-tail
 // tolerance (short and corrupt records, whole batches discarded
-// atomically), version-1 backward compatibility from a handcrafted
-// fixture, header validation, and group-commit fsync (SyncUpTo
-// leader/follower batching).
+// atomically), header validation (bad magic, any version but 2), and
+// group-commit fsync (SyncUpTo leader/follower batching).
 
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -169,37 +167,6 @@ TEST(WalTest, CorruptChecksumStopsReplayThere) {
   EXPECT_EQ(ops.back().key, 4u);
 }
 
-TEST(WalTest, HandcraftedV1FileReplaysWithSequenceZero) {
-  // Byte-exact version-1 fixture (fixed 24-byte records, xor-rotate
-  // checksum), written independently of wal.cc: the current replay must
-  // surface its ops as puts with sequence 0 for the table to synthesize.
-  const std::string path = FreshPath("wal_v1_fixture.log");
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(file, nullptr);
-  uint8_t header[16] = {};
-  std::memcpy(header, "OSFCWAL1", 8);
-  PutU32(header + 8, 1);  // format version 1
-  ASSERT_EQ(std::fwrite(header, 1, sizeof(header), file), sizeof(header));
-  for (uint64_t i = 0; i < 20; ++i) {
-    const uint64_t key = i * 11;
-    const uint64_t payload = i + 7;
-    uint8_t record[24];
-    PutU64(record, key);
-    PutU64(record + 8, payload);
-    uint64_t sum = 0x0410105fc5a10ULL;  // the v1 checksum, reproduced
-    sum ^= Rotl64(key, 17);
-    sum ^= Rotl64(payload, 31);
-    PutU64(record + 16, sum);
-    ASSERT_EQ(std::fwrite(record, 1, sizeof(record), file), sizeof(record));
-  }
-  std::fclose(file);
-  const auto ops = Replay(path);
-  ASSERT_EQ(ops.size(), 20u);
-  for (uint64_t i = 0; i < ops.size(); ++i) {
-    EXPECT_EQ(ops[i], (ReplayedOp{i * 11, i + 7, 0, false})) << i;
-  }
-}
-
 TEST(WalTest, SyncUpToCoversEverythingAppendedSoFar) {
   const std::string path = FreshPath("wal_syncupto.log");
   auto wal = WalWriter::Create(path, /*fsync_each_append=*/false);
@@ -315,6 +282,27 @@ TEST(WalTest, BadHeaderIsRejected) {
   auto result = ReplayWal(path, [](Key, uint64_t, uint64_t, bool) {});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // A writer-produced log stamped with the retired version 1 is refused
+  // too, not replayed.
+  {
+    auto wal = WalWriter::Create(path, false);
+    ASSERT_TRUE(wal.ok());
+    const WalOp op{1, 1, false};
+    ASSERT_TRUE(wal.value()->AppendBatch(&op, 1, 1).ok());
+  }
+  file = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(file, nullptr);
+  uint8_t version_bytes[4];
+  PutU32(version_bytes, 1);
+  ASSERT_EQ(std::fseek(file, 8, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(version_bytes, 1, 4, file), 4u);
+  std::fclose(file);
+  result = ReplayWal(path, [](Key, uint64_t, uint64_t, bool) {});
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("unsupported WAL version 1"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace
