@@ -5,12 +5,15 @@
 //
 // Before the registered benchmarks run, a chrono-timed kernel pre-pass
 // measures the raw bit-interleave kernels of sfc/bits.h (scalar reference,
-// magic-number, byte-LUT, and — when the CPU has it — BMI2) and writes the
-// ns-per-op numbers as BENCH_curve_ops.json. The pre-pass doubles as the
-// perf contract of the kernel dispatch: on a BMI2 machine the BMI2 encode
-// path must beat the portable scalar reference by at least 2x, or the
-// binary exits non-zero. Without BMI2 the contract is skipped (the JSON
-// says so via bmi2_supported).
+// magic-number, byte-LUT, and — when the CPU has it — BMI2) and the
+// CRC32C kernels of storage/crc32c.h (portable table loop and the
+// dispatched entry point), and writes the numbers as BENCH_curve_ops.json.
+// The pre-pass doubles as the perf contract of both dispatches: on a BMI2
+// machine the BMI2 encode path must beat the portable scalar reference by
+// at least 2x, and on an SSE4.2 machine the dispatched CRC32C must beat
+// the table loop by at least 4x, or the binary exits non-zero. Without
+// the instruction set a contract is skipped (the JSON says so via
+// bmi2_supported / sse42_supported).
 //
 //   build/bench/bench_curve_ops [--benchmark_filter=...]
 
@@ -28,6 +31,7 @@
 #include "index/decompose.h"
 #include "sfc/bits.h"
 #include "sfc/registry.h"
+#include "storage/crc32c.h"
 #include "workloads/generators.h"
 
 namespace {
@@ -126,8 +130,9 @@ void RegisterAll() {
 }
 
 // ---------------------------------------------------------------------
-// Kernel pre-pass: raw sfc/bits.h throughput, BENCH_curve_ops.json, and
-// the BMI2-vs-scalar perf contract.
+// Kernel pre-pass: raw sfc/bits.h and storage/crc32c.h throughput,
+// BENCH_curve_ops.json, and the BMI2-vs-scalar and SSE4.2-vs-table perf
+// contracts.
 
 /// Best-of-`reps` nanoseconds per call of fn(i) over `iters` calls —
 /// minimum, not mean, because on a shared core the cheapest rep is the
@@ -261,13 +266,52 @@ bool RunKernelPrepass(bench::BenchReport* report) {
   return contract_ok;
 }
 
+/// Times CRC32C over one 4 KiB buffer (a segment page's worth) through the
+/// portable table loop and the dispatched entry point, records both as
+/// ns per KiB, and returns false if the dispatched path misses the 4x
+/// contract on an SSE4.2 machine.
+bool RunCrc32cPrepass(bench::BenchReport* report) {
+  constexpr size_t kBytes = 4096;
+  constexpr int kIters = 256;
+  constexpr int kReps = 7;
+  const bool sse42 = storage::HasSse42();
+  report->AddCount("sse42_supported", sse42 ? 1 : 0);
+  Rng rng(4096);
+  std::vector<uint8_t> buffer(kBytes);
+  for (auto& byte : buffer) byte = static_cast<uint8_t>(rng.Next());
+  // Each call extends the previous sum, so no call can be hoisted out of
+  // the timed loop.
+  uint32_t crc = 0;
+  const double portable = BestNsPerOp(
+      [&](int) { crc = storage::Crc32cPortable(crc, buffer.data(), kBytes); },
+      kIters, kReps) / (kBytes / 1024);
+  const double dispatched = BestNsPerOp(
+      [&](int) { crc = storage::Crc32c(crc, buffer.data(), kBytes); },
+      kIters, kReps) / (kBytes / 1024);
+  volatile uint32_t crc_sink = crc;
+  (void)crc_sink;
+  report->Add("crc32c_portable_ns_per_kib", portable);
+  report->Add("crc32c_ns_per_kib", dispatched);
+  // The `crc32` instruction runs >20x the table loop on 4 KiB; 4x is a
+  // deliberately low bar so a noisy shared-CPU run cannot flap.
+  if (sse42 && dispatched * 4.0 > portable) {
+    std::fprintf(stderr,
+                 "bench_curve_ops: CRC32C contract FAILED: dispatched "
+                 "%.1f ns/KiB vs portable %.1f ns/KiB (need >= 4x)\n",
+                 dispatched, portable);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::BenchReport report("curve_ops");
-  const bool contract_ok = RunKernelPrepass(&report);
+  const bool kernels_ok = RunKernelPrepass(&report);
+  const bool crc_ok = RunCrc32cPrepass(&report);
   if (!report.WriteFile()) return 1;
-  if (!contract_ok) return 1;
+  if (!kernels_ok || !crc_ok) return 1;
   RegisterAll();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

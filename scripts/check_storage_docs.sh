@@ -53,6 +53,7 @@ for symbol in MetricsRegistry Counter Gauge Histogram HistogramSnapshot \
               bench_report BENCH_ ops_per_sec p99_us pool_hit_ratio \
               pool_hit_ratio_cold readahead_batched_reads readahead_hits \
               readahead_wasted bmi2_supported encode2_scalar_ns \
+              sse42_supported crc32c_ns_per_kib crc32c_portable_ns_per_kib \
               wal.fsync_us flush.us compaction.us cursor.next_us \
               db.batch_commit_us index.queries index.dangling_entries \
               index.rows_resolved; do

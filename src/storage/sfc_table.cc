@@ -486,8 +486,10 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
         });
     if (!replayed.ok()) {
       // A torn header can only happen to the newest WAL (crash during its
-      // creation); anywhere else it means real corruption.
-      if (i + 1 == wal_files.size()) {
+      // creation); anywhere else it means real corruption. A whole header
+      // with a foreign magic or version is refused wherever it sits.
+      if (replayed.status().code() == StatusCode::kCorruption &&
+          i + 1 == wal_files.size()) {
         table->wal_files_.push_back(name);  // fenced off at next flush
         continue;
       }

@@ -149,9 +149,17 @@ Result<uint64_t> ReplayWal(
   if (file == nullptr) {
     return Status::NotFound("cannot open WAL file: " + path);
   }
-  uint8_t header[kWalHeaderBytes];
-  if (std::fread(header, 1, kWalHeaderBytes, file) != kWalHeaderBytes ||
-      std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
+  uint8_t header[kWalHeaderBytes] = {};
+  const size_t header_read = std::fread(header, 1, kWalHeaderBytes, file);
+  // A crash while the header was being created leaves it short, or (when
+  // the file size reached disk before its data) all zero bytes.
+  constexpr uint8_t kZeroHeader[kWalHeaderBytes] = {};
+  if (header_read != kWalHeaderBytes ||
+      std::memcmp(header, kZeroHeader, kWalHeaderBytes) == 0) {
+    std::fclose(file);
+    return Status::Corruption("torn WAL header: " + path);
+  }
+  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
     std::fclose(file);
     return Status::InvalidArgument("bad WAL header: " + path);
   }

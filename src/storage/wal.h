@@ -24,8 +24,9 @@
 //            u8 type (0 = put, 1 = delete), u64 key, u64 payload
 //     [..] u32 CRC32C over everything above (num_ops through the last op)
 //
-// Replay accepts version 2 only; any other version is rejected with
-// Status::InvalidArgument.
+// Replay accepts version 2 only; a whole header with another version or
+// magic is rejected with Status::InvalidArgument, and a torn header (short
+// or all zero) with Status::Corruption.
 //
 // Replay validates each record's checksum and treats the first short or
 // corrupt record as the torn tail of an interrupted append: everything
@@ -182,8 +183,10 @@ class WalWriter {
 /// Replays the complete records of the WAL at `path` into `fn` — invoked
 /// once per op as fn(key, payload, sequence, tombstone), in append order —
 /// stopping silently at a torn tail. Returns the number of OPS replayed,
-/// NotFound for a missing file, or InvalidArgument for a header with a bad
-/// magic or any version but 2.
+/// NotFound for a missing file, Corruption for a torn header (shorter than
+/// 16 bytes, or 16 zero bytes — what a crash during Create() leaves), or
+/// InvalidArgument for a whole header with a bad magic or any version
+/// but 2.
 Result<uint64_t> ReplayWal(
     const std::string& path,
     const std::function<void(Key, uint64_t, uint64_t, bool)>& fn);

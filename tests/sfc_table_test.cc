@@ -30,6 +30,16 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteWholeFile(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
 /// Materializes a box query through the streaming cursor path — the
 /// replacement for the deprecated Query() wrapper. Works for SfcTable and
 /// SpatialIndex alike (same NewBoxCursor interface).
@@ -227,6 +237,8 @@ TEST(SfcTableTest, CrashBeforeFlushRecoversFromWal) {
     }
     EXPECT_EQ(table.value()->num_segments(), 0u);  // nothing flushed
   }  // "crash": no Close(), no Flush()
+  const std::string crashed = FreshDir("wal_recovery_crashed");
+  std::filesystem::copy(dir, crashed);
 
   auto reopened = SfcTable::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -238,6 +250,42 @@ TEST(SfcTableTest, CrashBeforeFlushRecoversFromWal) {
   EXPECT_EQ(Canonical(reopened.value()->curve(),
                       CursorQuery(*reopened.value(), everything)),
             Canonical(reference.curve(), CursorQuery(reference, everything)));
+
+  // The newest WAL's header decides what open does with that file. A torn
+  // header — short, or all zero, as a crash during the file's creation
+  // leaves it — is skipped, and the older WAL still replays in full. A
+  // whole header with a retired version or a foreign magic is refused.
+  const std::string header =
+      ReadWholeFile(crashed + "/wal_0.log").substr(0, 16);
+  ASSERT_EQ(header.size(), 16u);
+  std::string version_one = header;
+  version_one[8] = 1;  // u32 little-endian version at offset 8
+  std::string bad_magic = header;
+  bad_magic.replace(0, 8, "NOTAWAL!");
+  const struct {
+    const char* name;
+    std::string bytes;
+    bool opens;
+  } newest_wal_cases[] = {
+      {"whole header, version 1", version_one, false},
+      {"whole header, bad magic", bad_magic, false},
+      {"7-byte file", header.substr(0, 7), true},
+      {"16 zero bytes", std::string(16, '\0'), true},
+  };
+  for (const auto& c : newest_wal_cases) {
+    const std::string case_dir = FreshDir("wal_recovery_newest");
+    std::filesystem::copy(crashed, case_dir);
+    WriteWholeFile(case_dir + "/wal_1000000.log", c.bytes);
+    auto opened = SfcTable::Open(case_dir);
+    if (c.opens) {
+      ASSERT_TRUE(opened.ok()) << c.name << ": " << opened.status().ToString();
+      EXPECT_EQ(opened.value()->size(), points.size()) << c.name;
+    } else {
+      ASSERT_FALSE(opened.ok()) << c.name;
+      EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+          << c.name << ": " << opened.status().ToString();
+    }
+  }
 }
 
 TEST(SfcTableTest, HardProcessExitRecoversFromWal) {
@@ -702,16 +750,6 @@ std::string BuildClosedTable(const std::string& dir) {
   const auto infos = table.value()->SegmentInfos();
   EXPECT_EQ(infos.size(), 1u);
   return infos.empty() ? "" : infos[0].file;
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteWholeFile(const std::string& path, const std::string& text) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 }
 
 TEST(SfcTableTest, UnknownSegmentVersionRejectedAtOpenWithClearStatus) {

@@ -1,8 +1,8 @@
 // Write-ahead-log unit tests: append/replay round trips for single-op and
 // multi-op (batch) records with sequence stamps and tombstones, torn-tail
 // tolerance (short and corrupt records, whole batches discarded
-// atomically), header validation (bad magic, any version but 2), and
-// group-commit fsync (SyncUpTo leader/follower batching).
+// atomically), header validation (bad magic, any version but 2, torn
+// header), and group-commit fsync (SyncUpTo leader/follower batching).
 
 #include <unistd.h>
 
@@ -303,6 +303,23 @@ TEST(WalTest, BadHeaderIsRejected) {
   EXPECT_NE(result.status().ToString().find("unsupported WAL version 1"),
             std::string::npos)
       << result.status().ToString();
+}
+
+TEST(WalTest, TornHeaderIsCorruption) {
+  // What a crash during Create() leaves: a short header, or a header whose
+  // bytes never reached the disk. Both are Corruption, not the
+  // InvalidArgument of a whole header with a foreign magic or version.
+  const std::string path = FreshPath("wal_tornheader.log");
+  const uint8_t zeros[16] = {};
+  for (const size_t length : {size_t{0}, size_t{7}, size_t{16}}) {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(zeros, 1, length, file), length);
+    std::fclose(file);
+    auto result = ReplayWal(path, [](Key, uint64_t, uint64_t, bool) {});
+    ASSERT_FALSE(result.ok()) << length;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption) << length;
+  }
 }
 
 }  // namespace
