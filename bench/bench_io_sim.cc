@@ -18,8 +18,9 @@
 
 #include "common/cli.h"
 #include "index/decompose.h"
-#include "index/pager.h"
 #include "sfc/registry.h"
+#include "storage/buffer_pool.h"
+#include "storage/mem_source.h"
 #include "workloads/generators.h"
 
 int main(int argc, char** argv) {
@@ -47,24 +48,24 @@ int main(int argc, char** argv) {
     for (const std::string name : {"onion", "hilbert", "zorder", "snake"}) {
       auto curve = MakeCurve(name, universe).value();
       // Lay the table out in curve order.
-      std::vector<PackedRun::Entry> entries;
+      std::vector<storage::Entry> entries;
       entries.reserve(points.size());
       for (size_t i = 0; i < points.size(); ++i) {
         entries.push_back({curve->IndexOf(points[i]), i});
       }
       std::sort(entries.begin(), entries.end(),
-                [](const PackedRun::Entry& a, const PackedRun::Entry& b) {
+                [](const storage::Entry& a, const storage::Entry& b) {
                   return a.key < b.key;
                 });
-      const PackedRun run(std::move(entries), page);
-      BufferPool pool(&run, pool_pages);
+      const storage::MemPageSource run(std::move(entries), page);
+      storage::BufferPool pool(pool_pages);
       // Replay the workload: each query scans its exact key ranges.
       for (const Box& query : queries) {
         for (const KeyRange& range : DecomposeBox(*curve, query)) {
-          pool.ScanRange(range.lo, range.hi, [](Key, uint64_t) {});
+          pool.ScanRange(run, range.lo, range.hi, [](Key, uint64_t) {});
         }
       }
-      const IoStats& stats = pool.stats();
+      const IoStats stats = pool.stats();
       const auto q = static_cast<double>(queries.size());
       std::printf("%-10s %12.1f %12.1f %12.1f %14.1f\n", name.c_str(),
                   static_cast<double>(stats.page_reads) / q,

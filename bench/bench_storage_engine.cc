@@ -1,14 +1,12 @@
 // End-to-end storage-engine benchmark on REAL files: for each curve, build
 // persistent SfcTables over the same point set — one per segment-format
-// configuration (raw pages without filters vs delta-varint pages with
-// bloom + zone filters) — compact them to a single on-disk run, and replay
-// box-query workloads through the buffer pool. Reports measured page
-// reads, disk seeks, cache hits, on-disk bytes, and modeled HDD latency
-// next to the analytic average clustering number — the paper's claim is
+// configuration (pages without filters vs pages with bloom filters) —
+// compact them to a single on-disk run, and replay box-query workloads
+// through the buffer pool. Reports measured page reads, disk seeks, cache
+// hits, on-disk bytes, and modeled HDD latency next to the analytic
+// average clustering number — the paper's claim is
 // that the measured seek ranking follows the clustering ranking, and here
-// it is checked against actual file I/O rather than a simulation. The
-// codec comparison shows how compression multiplies the clustering win:
-// fewer runs touched (clustering) times fewer bytes per run (codec).
+// it is checked against actual file I/O rather than a simulation.
 //
 // Two table populations:
 //   --mode=grid (default)  every cell of the universe is stored and each
@@ -20,10 +18,9 @@
 // Grid mode additionally runs a point-Get phase over a half-populated
 // ("checkerboard") grid, where every segment's key span covers the whole
 // universe: fence pruning cannot help, so the bloom filter is what saves
-// the absent probes. The bench FAILS (nonzero exit) if the filtered+
-// compressed configuration does not beat raw+unfiltered on both on-disk
-// bytes and pages fetched for point Gets — CI smoke-runs this as a
-// regression gate.
+// the absent probes. The bench FAILS (nonzero exit) if the filtered
+// configuration does not fetch fewer pages for point Gets than the
+// unfiltered one — CI smoke-runs this as a regression gate.
 //
 // Every box workload runs twice per table: a COLD pass (the pool starts
 // empty — the paper-model seek measurement the printed tables show) and a
@@ -68,7 +65,6 @@ using namespace onion;
 /// One segment-format configuration under comparison.
 struct FormatConfig {
   std::string tag;
-  storage::PageCodec codec;
   uint32_t filter_bits_per_key;
 };
 
@@ -153,9 +149,8 @@ int main(int argc, char** argv) {
   };
   const std::vector<std::string> names = {"onion", "hilbert", "zorder"};
   const std::vector<FormatConfig> configs = {
-      {"raw", storage::PageCodec::kRaw, 0},
-      {"delta+filter", storage::PageCodec::kDeltaVarint, 10},
-      {"bitpack+filter", storage::PageCodec::kBitpack, 10},
+      {"raw", 0},
+      {"raw+filter", 10},
   };
 
   std::printf("=== storage engine on real files: %zu points (%s) on %ux%u, "
@@ -178,7 +173,6 @@ int main(int argc, char** argv) {
       options.entries_per_page = page;
       options.pool_pages = pool_pages;
       options.readahead_pages = readahead;
-      options.codec = config.codec;
       options.filter_bits_per_key = config.filter_bits_per_key;
       tables.push_back(BenchTable{
           name, config.tag,
@@ -187,7 +181,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("--- on-disk footprint (segment format v2 codecs) ---\n");
+  std::printf("--- on-disk footprint ---\n");
   std::printf("%-10s %-14s %14s %14s\n", "curve", "config", "disk KB",
               "filter KB");
   for (const BenchTable& bench_table : tables) {
@@ -257,7 +251,7 @@ int main(int argc, char** argv) {
         raw_results = results;
       } else {
         ONION_CHECK_MSG(results == raw_results,
-                        "codec changed query results");
+                        "filter changed query results");
       }
       const ClusteringEvaluator evaluator(&table.curve());
       double clustering_sum = 0;
@@ -299,14 +293,12 @@ int main(int argc, char** argv) {
     }
     for (const std::string& name : names) {
       uint64_t raw_pages = 0;
-      uint64_t raw_bytes = 0;
       for (const FormatConfig& config : configs) {
         storage::SfcTableOptions options;
         options.entries_per_page = 16;  // realistic multi-entry pages
         options.pool_pages = pool_pages;
         // No readahead here: point probes have no spatial run to widen,
         // and prefetch waste would blur the filter contract below.
-        options.codec = config.codec;
         options.filter_bits_per_key = config.filter_bits_per_key;
         auto table =
             BuildTable(base_dir + "/get_" + name + "_" + config.tag, name,
@@ -344,13 +336,9 @@ int main(int argc, char** argv) {
         }
         if (config.filter_bits_per_key == 0) {
           raw_pages = pages_touched;
-          raw_bytes = disk_bytes;
         } else {
-          // The acceptance contract of segment format v2, enforced at
-          // bench time: compression shrinks the table AND filters cut the
+          // The filter contract, enforced at bench time: filters cut the
           // pages point lookups touch.
-          ONION_CHECK_MSG(disk_bytes < raw_bytes,
-                          "delta codec failed to shrink on-disk bytes");
           ONION_CHECK_MSG(pages_touched < raw_pages,
                           "filters failed to cut pages fetched for Gets");
           ONION_CHECK_MSG(io.pages_skipped_by_filter > 0,
@@ -412,9 +400,8 @@ int main(int argc, char** argv) {
   report.AddCount("disk_bytes_total", disk_total);
   report.WriteFile();
 
-  // Exit contracts of this PR's I/O work, checked on the numbers just
-  // reported. Grid mode only: random mode's three-config aggregate
-  // legitimately decodes more than twice its (compressed) disk bytes.
+  // Exit contracts of the I/O path, checked on the numbers just reported.
+  // Grid mode only, the mode CI smoke-runs.
   if (mode == "grid") {
     ONION_CHECK_MSG(agg_io.decoded_bytes < agg_io.disk_bytes * 2,
                     "decoded:disk ratio regressed past 2x");

@@ -29,9 +29,8 @@ int main(int argc, char** argv) {
   options.num_workers = 2;   // ONE worker pool flushing all of them
   options.table_options.entries_per_page = 64;
   options.table_options.memtable_flush_entries = 2000;
-  // Segment format v2: delta-varint pages plus bloom/zone filters for
-  // every table created below (recorded per table in its MANIFEST).
-  options.table_options.codec = storage::PageCodec::kDeltaVarint;
+  // Bloom filters for every table created below (recorded per table in
+  // its MANIFEST).
   options.table_options.filter_bits_per_key = 10;
 
   auto db_result = storage::SfcDb::Open(dir, options);
@@ -58,9 +57,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\n\n");
 
-  // Real space accounting straight from SegmentInfos(): encoded bytes on
-  // disk vs the 16 B/entry the raw format would use, plus the filter cost.
-  std::printf("on-disk footprint per table (codec: delta_varint):\n");
+  // Real space accounting straight from SegmentInfos(): bytes on disk vs
+  // the 24 B/entry of the raw pages alone, plus the filter cost.
+  std::printf("on-disk footprint per table:\n");
   for (const std::string& name : db.ListTables()) {
     uint64_t disk = 0;
     uint64_t filter = 0;
@@ -70,10 +69,10 @@ int main(int argc, char** argv) {
       filter += info.filter_bytes;
       entries += info.num_entries;
     }
-    std::printf("  %-8s %6.1f KB encoded (%.1f KB raw entries), "
+    std::printf("  %-8s %6.1f KB on disk (%.1f KB raw entries), "
                 "%.1f KB filters\n",
                 name.c_str(), static_cast<double>(disk) / 1024.0,
-                static_cast<double>(entries * storage::kEntryBytes) / 1024.0,
+                static_cast<double>(entries * storage::kEntryBytesV3) / 1024.0,
                 static_cast<double>(filter) / 1024.0);
   }
   std::printf("\n");

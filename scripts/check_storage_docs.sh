@@ -27,7 +27,7 @@ for path in src/storage/*; do
 done
 for symbol in SfcDb SfcTable Cursor ReadOptions NewBoxCursor NewScanCursor \
               DrainCursor SyncUpTo CreateTable DropTable hit_read_budget \
-              PageCodec kDeltaVarint kBitpack filter_bits_per_key ProbeFilter \
+              filter_bits_per_key ProbeFilter \
               pages_skipped_by_filter disk_bytes decoded_bytes \
               readahead_pages \
               SegmentInfos WriteBatch GetSnapshot Snapshot DbSnapshot \

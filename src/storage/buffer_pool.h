@@ -1,8 +1,8 @@
 // A buffer pool shared by every open run of the storage engine.
 //
-// Generalizes the single-run LRU pool from index/pager.h: frames are keyed
-// by (source, page) so one pool arbitrates memory across the memtable's
-// flushed segments, a compacted run, and any in-memory sources at once.
+// One LRU pool over any number of runs: frames are keyed by (source,
+// page), so one pool arbitrates memory across the memtable's flushed
+// segments, a compacted run, and any in-memory sources at once.
 // Accounting keeps the paper's sequential-vs-seek distinction: a disk read
 // is sequential only when it targets the page immediately after the
 // previous disk read *of the same source* — switching runs always seeks,

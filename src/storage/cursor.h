@@ -86,8 +86,8 @@ struct ReadOptions {
   /// resident or not). Storage cursors only; ignored in memory.
   uint64_t max_pages = 0;
   /// Stop before fetching more than this many bytes of page data, counted
-  /// in ON-DISK (encoded) bytes — the same unit as IoStats::disk_bytes, so
-  /// the budget bounds real I/O regardless of the segment codec.
+  /// in ON-DISK bytes (page entries plus the page checksum) — the same unit
+  /// as IoStats::disk_bytes, so the budget bounds real I/O.
   /// Storage cursors only; ignored in memory.
   uint64_t max_bytes = 0;
   /// Read at this pinned sequence instead of "latest": entries (and

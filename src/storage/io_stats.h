@@ -1,8 +1,7 @@
-// Physical I/O counters shared by every page-serving component (the legacy
-// single-run pager in index/pager.h, the multi-segment buffer pool, and the
-// SfcTable facade). Kept in the top-level onion namespace because the
-// counters predate the storage subsystem and are part of its public
-// benchmark vocabulary.
+// Physical I/O counters shared by every page-serving component (the
+// buffer pool and the SfcTable facade). Kept in the top-level onion
+// namespace because the counters predate the storage subsystem and are
+// part of its public benchmark vocabulary.
 
 #ifndef ONION_STORAGE_IO_STATS_H_
 #define ONION_STORAGE_IO_STATS_H_
@@ -56,13 +55,12 @@ namespace onion {
 
 /// Physical I/O counters.
 ///
-/// Byte accounting rule: `disk_bytes` counts ON-DISK (encoded) bytes —
-/// exactly what a page read transfers from the file, after compression —
-/// and is the unit of ReadOptions::max_bytes budgets. `decoded_bytes`
-/// counts the decoded entry bytes those same reads materialized in the
-/// buffer pool. For uncompressed pages the two are equal (modulo format-v1
-/// padding); for compressed codecs disk_bytes < decoded_bytes, and the
-/// ratio is the measured compression win.
+/// Byte accounting rule: `disk_bytes` counts ON-DISK bytes — exactly what
+/// a page read transfers from the file — and is the unit of
+/// ReadOptions::max_bytes budgets. `decoded_bytes` counts the decoded entry
+/// bytes those same reads materialized in the buffer pool. A segment page
+/// is raw (24 B per entry) plus a 4 B CRC32C, so for segment reads
+/// disk_bytes == decoded_bytes + 4 * page_reads.
 struct IoStats {
 #define ONION_IO_STAT_DECL(name) uint64_t name = 0;
   ONION_IO_STAT_FIELDS(ONION_IO_STAT_DECL)

@@ -1,9 +1,8 @@
 // The in-memory PageSource backend: a sorted std::vector of entries packed
-// into logical pages. This is the original "simulated disk" from
-// index/pager.h, now one interchangeable backend of the storage engine —
-// useful for tests, for modeling layouts before persisting them, and as
-// the reference implementation the file-backed SegmentReader must agree
-// with.
+// into logical pages. This is the original "simulated disk", now one
+// interchangeable backend of the storage engine — useful for tests, for
+// modeling layouts before persisting them, and as the reference
+// implementation the file-backed SegmentReader must agree with.
 
 #ifndef ONION_STORAGE_MEM_SOURCE_H_
 #define ONION_STORAGE_MEM_SOURCE_H_

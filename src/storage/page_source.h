@@ -3,10 +3,10 @@
 // A PageSource is an immutable sorted run of (key, payload) entries packed
 // into fixed-size pages, with an in-memory fence index (first and last key
 // of every page). Concrete sources are MemPageSource (a std::vector, the
-// original simulation backend from index/pager.h) and SegmentReader (a
-// real file). The buffer pool and all range-scan logic are generic over
-// this interface, so "how many seeks does this query cost" is answered the
-// same way whether pages live in RAM or on disk.
+// original simulation backend) and SegmentReader (a real file). The buffer
+// pool and all range-scan logic are generic over this interface, so "how
+// many seeks does this query cost" is answered the same way whether pages
+// live in RAM or on disk.
 //
 // The fence index is the only metadata a caller may consult without doing
 // page I/O: PageOf() and range-termination tests are pure fence lookups,
@@ -108,10 +108,10 @@ class PageSource {
     return Status::OK();
   }
 
-  /// On-disk (encoded) bytes ReadPage(page) transfers. For in-memory and
-  /// uncompressed sources this equals the decoded entry bytes; compressed
-  /// segment pages report their real encoded size. Byte budgets
-  /// (ReadOptions::max_bytes) and IoStats::disk_bytes count THIS number.
+  /// On-disk bytes ReadPage(page) transfers. In-memory sources model
+  /// kEntryBytes per entry; segment pages report their real size (24 B per
+  /// entry plus the 4 B page CRC32C). Byte budgets (ReadOptions::max_bytes)
+  /// and IoStats::disk_bytes count THIS number.
   virtual uint64_t PageDiskBytes(uint64_t page) const {
     return (PageEnd(page) - PageBegin(page)) * kEntryBytes;
   }

@@ -7,6 +7,7 @@
 #include "storage/codec.h"
 #include "storage/crc32c.h"
 #include "storage/fs_util.h"
+#include "storage/page_codec.h"
 
 namespace onion::storage {
 namespace {
@@ -66,7 +67,7 @@ bool SeekTo(std::FILE* file, uint64_t offset) {
 
 SegmentWriter::SegmentWriter(std::string path, uint32_t entries_per_page)
     : SegmentWriter(std::move(path),
-                    SegmentWriterOptions{entries_per_page, PageCodec::kRaw,
+                    SegmentWriterOptions{entries_per_page,
                                          /*filter_bits_per_key=*/10,
                                          /*curve=*/nullptr}) {}
 
@@ -77,8 +78,6 @@ SegmentWriter::SegmentWriter(std::string path,
       bloom_(options.filter_bits_per_key) {
   ONION_CHECK_MSG(options_.entries_per_page >= 1,
                   "page size must be positive");
-  ONION_CHECK_MSG(PageCodecValid(static_cast<uint32_t>(options_.codec)),
-                  "unknown page codec");
   file_ = std::fopen(path_.c_str(), "wb");
   if (file_ == nullptr) {
     status_ = IoError(path_, "cannot create segment file");
@@ -103,7 +102,7 @@ SegmentWriter::~SegmentWriter() {
 
 Status SegmentWriter::WritePage() {
   std::vector<uint8_t> bytes;
-  EncodePage(options_.codec, page_buf_, &bytes);
+  EncodePage(page_buf_, &bytes);
   // Per-page block checksum: decoders verify it before touching the
   // encoding, so a flipped bit surfaces as Status::Corruption instead of
   // silently wrong entries.
@@ -207,7 +206,6 @@ Status SegmentWriter::Finish() {
     return status_ = IoError(path_, "write failed");
   }
 
-  const auto codec_id = static_cast<uint32_t>(options_.codec);
   uint8_t header[kHeaderBytesV2] = {};
   std::memcpy(header, kMagic, sizeof(kMagic));
   PutU32(header + 8, kFormatVersion);
@@ -217,7 +215,7 @@ Status SegmentWriter::Finish() {
   PutU64(header + 32, min_key_);
   PutU64(header + 40, max_key_);
   PutU64(header + 48, index_offset);
-  PutU32(header + 56, codec_id);
+  PutU32(header + 56, kRawPageCodecId);
   PutU32(header + 60, options_.filter_bits_per_key);
   PutU64(header + 64, filter_offset);
   PutU64(header + 72, filter.size());
@@ -226,7 +224,8 @@ Status SegmentWriter::Finish() {
   PutU64(header + 88,
          HeaderChecksum(kFormatVersion, options_.entries_per_page,
                         num_entries_, num_pages, min_key_, max_key_,
-                        index_offset, codec_id, options_.filter_bits_per_key,
+                        index_offset, kRawPageCodecId,
+                        options_.filter_bits_per_key,
                         filter_offset, filter.size(), zone_dims));
   if (!SeekTo(file_, 0) ||
       std::fwrite(header, 1, kHeaderBytesV2, file_) != kHeaderBytesV2) {
@@ -299,11 +298,10 @@ Status SegmentReader::Load(const uint8_t* header) {
   if (entries_per_page_ < 1) {
     return CorruptError(path_, "segment page size is zero");
   }
-  if (!PageCodecValid(codec_id)) {
-    return Status::InvalidArgument("unknown segment page codec id " +
+  if (codec_id != kRawPageCodecId) {
+    return Status::InvalidArgument("unsupported segment page codec id " +
                                    std::to_string(codec_id) + ": " + path_);
   }
-  codec_ = static_cast<PageCodec>(codec_id);
   if (checksum != HeaderChecksum(kFormatVersion, entries_per_page_,
                                  num_entries_, num_pages, min_key_, max_key_,
                                  index_offset, codec_id, filter_bits,
@@ -414,7 +412,7 @@ Status SegmentReader::DecodePageBytes(uint64_t page, const uint8_t* data,
                               std::to_string(page) + " of " + path_);
   }
   const uint64_t count = PageEnd(page) - PageBegin(page);
-  if (!DecodePage(codec_, data, encoded_size, count, out)) {
+  if (!DecodePage(data, encoded_size, count, out)) {
     return Status::Corruption("segment page decode failed: page " +
                               std::to_string(page) + " of " + path_);
   }

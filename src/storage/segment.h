@@ -9,14 +9,13 @@
 // docs/storage_format.md):
 //
 //   offset 0   header, 96 bytes: magic "OSFCSEG1", u32 version (3), page
-//              geometry, key bounds, the page codec id
-//              (storage/page_codec.h), filter geometry, and a checksum.
+//              geometry, key bounds, the page codec id (always 0, raw:
+//              storage/page_codec.h), filter geometry, and a checksum.
 //   offset 96  pages, back to back: page i holds the entries
-//              [i*entries_per_page, ...) encoded by the segment's codec —
-//              now carrying each entry's packed seq (MVCC version stamp +
-//              tombstone flag) — followed by a u32 CRC32C block checksum
-//              over the encoded page bytes. Variable length, located
-//              through the page index.
+//              [i*entries_per_page, ...) raw-encoded — each carrying its
+//              packed seq (MVCC version stamp + tombstone flag) — followed
+//              by a u32 CRC32C block checksum over the encoded page bytes.
+//              Located through the page index.
 //   footer     three blocks, in order:
 //                filter block  — split-block bloom filter over every key
 //                                (storage/filter_block.h); may be absent.
@@ -33,8 +32,9 @@
 // zone-map probe skips one page of a box query. Both are conservative —
 // false never lies.
 //
-// SegmentReader opens version 3 only; any other version is rejected with
-// Status::InvalidArgument ("unsupported segment format version"). A page
+// SegmentReader opens version 3 with codec id 0 only; any other version or
+// codec id is rejected with Status::InvalidArgument ("unsupported segment
+// format version" / "unsupported segment page codec id"). A page
 // whose CRC32C or encoding does not validate fails ReadPage with
 // Status::Corruption.
 //
@@ -57,7 +57,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "storage/filter_block.h"
-#include "storage/page_codec.h"
 #include "storage/page_source.h"
 
 namespace onion {
@@ -69,7 +68,6 @@ namespace onion::storage {
 /// How a SegmentWriter encodes pages and filters.
 struct SegmentWriterOptions {
   uint32_t entries_per_page = 256;
-  PageCodec codec = PageCodec::kRaw;
   /// Bloom filter budget; 0 writes no filter block.
   uint32_t filter_bits_per_key = 10;
   /// When set, per-page zone maps (cell bounding boxes) are computed by
@@ -84,8 +82,8 @@ struct SegmentWriterOptions {
 /// removed by the destructor.
 class SegmentWriter {
  public:
-  /// Raw codec, default filter budget, no zone maps — the legacy
-  /// convenience constructor.
+  /// Default filter budget, no zone maps — the legacy convenience
+  /// constructor.
   SegmentWriter(std::string path, uint32_t entries_per_page);
   SegmentWriter(std::string path, const SegmentWriterOptions& options);
   ~SegmentWriter();
@@ -188,8 +186,6 @@ class SegmentReader final : public PageSource {
   /// On-disk format version this file was written with (always 3: no
   /// other version opens).
   uint32_t format_version() const;
-  /// Codec its pages are encoded with.
-  PageCodec codec() const { return codec_; }
   /// Bytes of the in-file bloom filter block (0 when absent).
   uint64_t filter_bytes() const { return filter_.size(); }
   /// Total bytes of the file as recorded by the header geometry.
@@ -216,7 +212,6 @@ class SegmentReader final : public PageSource {
   // every post-construction use is ReadPage's seek+read pair under it.
   mutable std::FILE* file_;
   mutable Mutex io_mu_;
-  PageCodec codec_ = PageCodec::kRaw;
   uint32_t entries_per_page_ = 1;
   uint64_t num_entries_ = 0;
   Key min_key_ = 0;

@@ -11,6 +11,7 @@
 #include "sfc/registry.h"
 #include "storage/compaction.h"
 #include "storage/fs_util.h"
+#include "storage/page_codec.h"
 
 namespace onion::storage {
 namespace {
@@ -46,9 +47,6 @@ Status ValidateOptions(const SfcTableOptions& options) {
   }
   if (options.level_growth_factor < 2) {
     return Status::InvalidArgument("level_growth_factor must be >= 2");
-  }
-  if (!PageCodecValid(static_cast<uint32_t>(options.codec))) {
-    return Status::InvalidArgument("unknown page codec");
   }
   if (options.filter_bits_per_key > 64) {
     return Status::InvalidArgument("filter_bits_per_key must be <= 64");
@@ -147,7 +145,6 @@ SegmentWriterOptions SfcTable::WriterOptions() const {
   // lock even though flush and compaction call it from the worker thread.
   SegmentWriterOptions writer_options;
   writer_options.entries_per_page = options_.entries_per_page;
-  writer_options.codec = options_.codec;
   writer_options.filter_bits_per_key = options_.filter_bits_per_key;
   writer_options.curve = curve_.get();
   return writer_options;
@@ -176,7 +173,7 @@ std::string SfcTable::ManifestTextLocked() const {
   text += "side " + std::to_string(curve_->universe().side()) + "\n";
   text += "entries_per_page " + std::to_string(options_.entries_per_page) +
           "\n";
-  text += "codec " + std::string(PageCodecName(options_.codec)) + "\n";
+  text += "codec " + std::string(kRawPageCodecName) + "\n";
   text += "filter_bits_per_key " +
           std::to_string(options_.filter_bits_per_key) + "\n";
   text += "next_segment_id " + std::to_string(next_segment_id_) + "\n";
@@ -365,7 +362,7 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
   uint64_t next_segment_id = 0;
   std::optional<uint64_t> wal_floor;
   std::optional<uint64_t> last_sequence;
-  std::optional<PageCodec> codec;
+  bool has_codec = false;
   std::optional<uint32_t> filter_bits_per_key;
   std::vector<std::pair<int, std::string>> segment_files;  // (level, file)
   std::string field;
@@ -381,12 +378,11 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
     } else if (field == "codec") {
       std::string codec_name;
       in >> codec_name;
-      PageCodec parsed = PageCodec::kRaw;
-      if (!ParsePageCodec(codec_name, &parsed)) {
-        return Status::InvalidArgument("unknown manifest codec '" +
+      if (codec_name != kRawPageCodecName) {
+        return Status::InvalidArgument("unsupported manifest codec '" +
                                        codec_name + "' in " + dir);
       }
-      codec = parsed;
+      has_codec = true;
     } else if (field == "filter_bits_per_key") {
       in >> filter_bits_per_key.emplace();
     } else if (field == "next_segment_id") {
@@ -409,17 +405,16 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
     }
   }
   if (curve_name.empty() || dims < 1 || side < 1 || entries_per_page < 1 ||
-      !codec || !filter_bits_per_key || !wal_floor || !last_sequence) {
+      !has_codec || !filter_bits_per_key || !wal_floor || !last_sequence) {
     return Status::InvalidArgument("incomplete manifest in " + dir);
   }
 
   auto curve = MakeCurve(curve_name, Universe(dims, side));
   if (!curve.ok()) return curve.status();
   SfcTableOptions effective = options;
-  // Page geometry, codec and filter budget are properties of the table on
-  // disk, not of the caller.
+  // Page geometry and filter budget are properties of the table on disk,
+  // not of the caller.
   effective.entries_per_page = entries_per_page;
-  effective.codec = *codec;
   effective.filter_bits_per_key = *filter_bits_per_key;
   const Status revalid = ValidateOptions(effective);
   if (!revalid.ok()) return revalid;
@@ -562,7 +557,6 @@ std::vector<SegmentInfo> SfcTable::SegmentInfos() const {
                                 segment.reader->num_entries(),
                                 segment.reader->file_bytes(),
                                 segment.reader->format_version(),
-                                segment.reader->codec(),
                                 segment.reader->filter_bytes()});
   };
   for (const TableSegment& segment : l0_) add(segment);

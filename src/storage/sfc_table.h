@@ -106,15 +106,10 @@ namespace onion::storage {
 struct SfcTableOptions {
   /// Entries per page of every segment written by this table.
   uint32_t entries_per_page = 256;
-  /// Page codec of every segment this table writes (storage/page_codec.h).
-  /// Recorded in the MANIFEST at Create; reopening uses the recorded codec
-  /// regardless of what the caller passes. Segments always decode with the
-  /// codec in their own header, so flipping this (at Create time) never
-  /// affects readability.
-  PageCodec codec = PageCodec::kRaw;
   /// Bloom-filter budget of every segment this table writes; 0 disables
   /// filter blocks (zone maps are always written — they cost 8 bytes per
-  /// page per dimension). Recorded in the MANIFEST like `codec`.
+  /// page per dimension). Recorded in the MANIFEST at Create; reopening
+  /// uses the recorded budget regardless of what the caller passes.
   uint32_t filter_bits_per_key = 10;
   /// Capacity of the table's private buffer pool, in pages. Ignored when
   /// the table is served by an SfcDb, whose shared pool is sized by
@@ -171,11 +166,9 @@ struct SegmentInfo {
   Key min_key = 0;
   Key max_key = 0;
   uint64_t num_entries = 0;
-  /// Real on-disk footprint and format of the segment file, so space
-  /// savings from the page codec are observable per segment.
+  /// Real on-disk footprint and format of the segment file.
   uint64_t disk_bytes = 0;
   uint32_t format_version = 0;
-  PageCodec codec = PageCodec::kRaw;
   uint64_t filter_bytes = 0;
 };
 
@@ -419,8 +412,8 @@ class SfcTable {
   std::unique_ptr<Cursor> NewRangesCursor(std::vector<KeyRange> ranges,
                                           const Box* query_box,
                                           const ReadOptions& options);
-  /// Segment-writer knobs derived from the table options (codec, filter
-  /// budget, zone-map curve); used by flush and every compaction path.
+  /// Segment-writer knobs derived from the table options (page size,
+  /// filter budget, zone-map curve); used by flush and every compaction path.
   SegmentWriterOptions WriterOptions() const;
 
   // All *Locked methods require mu_ held exclusively (the annotations make

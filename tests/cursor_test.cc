@@ -289,17 +289,15 @@ TEST(CursorTest, HitReadBudgetDistinguishesTruncationFromExhaustion) {
 
 TEST(CursorTest, MaxBytesBudgetCountsOnDiskBytes) {
   // The documented rule: ReadOptions::max_bytes and IoStats::disk_bytes
-  // both count ON-DISK (encoded) bytes. With the delta codec the decoded
-  // bytes are several times larger — a budget equal to the total on-disk
-  // page bytes must therefore complete the scan (an implementation that
-  // wrongly counted decoded bytes would truncate it).
+  // both count ON-DISK bytes — a raw page's 24 B per entry plus its 4 B
+  // CRC32C — while decoded_bytes counts the entries alone. A budget equal
+  // to the total on-disk page bytes must complete the scan.
   const Universe universe(2, 64);
   const auto points = RandomPoints(universe, 6000, 271);
   SfcTableOptions options;
   options.entries_per_page = 64;
   options.pool_pages = 4;  // cold pool: every page is a real fetch
   options.memtable_flush_entries = 2000;
-  options.codec = PageCodec::kDeltaVarint;
   auto table_result =
       SfcTable::Create(FreshDir("disk_bytes"), "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
@@ -318,8 +316,9 @@ TEST(CursorTest, MaxBytesBudgetCountsOnDiskBytes) {
   }
   const IoStats full = table.io_stats();
   ASSERT_GT(full.disk_bytes, 0u);
-  // The codec really compresses: decoded bytes dwarf on-disk bytes.
-  EXPECT_GT(full.decoded_bytes, 2 * full.disk_bytes);
+  // Every page read moved its entries plus one 4-byte page checksum.
+  ASSERT_GT(full.page_reads, 0u);
+  EXPECT_EQ(full.disk_bytes - full.decoded_bytes, 4 * full.page_reads);
 
   // Budget == total on-disk bytes: the whole scan fits.
   ReadOptions exact;
@@ -349,7 +348,6 @@ TEST(CursorTest, BloomFilterSkipsAbsentPointLookups) {
   const Universe universe(2, 32);
   SfcTableOptions options;
   options.entries_per_page = 16;
-  options.codec = PageCodec::kDeltaVarint;
   options.filter_bits_per_key = 10;
   auto table_result =
       SfcTable::Create(FreshDir("bloom_get"), "zorder", universe, options);

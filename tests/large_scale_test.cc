@@ -8,8 +8,8 @@
 #include "analysis/clustering.h"
 #include "common/rng.h"
 #include "index/decompose.h"
-#include "index/pager.h"
 #include "sfc/registry.h"
+#include "storage/mem_source.h"
 
 namespace onion {
 namespace {
@@ -168,11 +168,11 @@ TEST(ContractDeathTest, BoxCornersOutOfOrderAbort) {
 }
 
 void BuildUnsortedRun() {
-  std::vector<PackedRun::Entry> entries = {{5, 0}, {3, 1}};
-  PackedRun run(std::move(entries), 4);
+  std::vector<storage::Entry> entries = {{5, 0}, {3, 1}};
+  storage::MemPageSource run(std::move(entries), 4);
 }
 
-TEST(ContractDeathTest, PackedRunRequiresSortedInput) {
+TEST(ContractDeathTest, MemPageSourceRequiresSortedInput) {
   EXPECT_DEATH(BuildUnsortedRun(), "sorted");
 }
 

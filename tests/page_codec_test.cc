@@ -1,7 +1,7 @@
-// Property-style tests for the segment page codecs and the split-block
+// Property-style tests for the segment page encoding and the split-block
 // bloom filter: random sorted pages (with duplicate keys, max-u64 keys,
-// single-entry and full pages) must round-trip byte-exactly through every
-// codec; malformed buffers must be rejected, not crash; the bloom filter
+// single-entry and full pages) must round-trip byte-exactly through the
+// raw layout; malformed buffers must be rejected, not crash; the bloom filter
 // must have zero false negatives and a sane false-positive rate at the
 // default bits-per-key budget.
 
@@ -18,30 +18,14 @@
 namespace onion::storage {
 namespace {
 
-const PageCodec kAllCodecs[] = {PageCodec::kRaw, PageCodec::kDeltaVarint,
-                                PageCodec::kBitpack};
-
-std::vector<Entry> RoundTrip(PageCodec codec,
-                             const std::vector<Entry>& entries) {
+std::vector<Entry> RoundTrip(const std::vector<Entry>& entries) {
   std::vector<uint8_t> bytes;
-  EncodePage(codec, entries, &bytes);
+  EncodePage(entries, &bytes);
+  EXPECT_EQ(bytes.size(), entries.size() * kEntryBytesV3);
   std::vector<Entry> decoded;
-  EXPECT_TRUE(DecodePage(codec, bytes.data(), bytes.size(), entries.size(),
-                         &decoded))
-      << PageCodecName(codec);
+  EXPECT_TRUE(
+      DecodePage(bytes.data(), bytes.size(), entries.size(), &decoded));
   return decoded;
-}
-
-TEST(PageCodecTest, NamesRoundTrip) {
-  for (const PageCodec codec : kAllCodecs) {
-    PageCodec parsed;
-    ASSERT_TRUE(ParsePageCodec(PageCodecName(codec), &parsed));
-    EXPECT_EQ(parsed, codec);
-    EXPECT_TRUE(PageCodecValid(static_cast<uint32_t>(codec)));
-  }
-  PageCodec parsed;
-  EXPECT_FALSE(ParsePageCodec("snappy", &parsed));
-  EXPECT_FALSE(PageCodecValid(77));
 }
 
 TEST(PageCodecTest, RandomSortedPagesRoundTrip) {
@@ -65,9 +49,7 @@ TEST(PageCodecTest, RandomSortedPagesRoundTrip) {
       std::sort(entries.begin(), entries.end(),
                 [](const Entry& a, const Entry& b) { return a.key < b.key; });
     }
-    for (const PageCodec codec : kAllCodecs) {
-      EXPECT_EQ(RoundTrip(codec, entries), entries);
-    }
+    EXPECT_EQ(RoundTrip(entries), entries);
   }
 }
 
@@ -82,75 +64,28 @@ TEST(PageCodecTest, EdgeShapedPagesRoundTrip) {
       {{0, ~0ull, 0}, {~0ull, 0, ~0ull}},    // full-range delta
       {{5, 5, 2}, {5, 6, 4}, {5, 7, 7}, {5, 8, 9}},  // all-duplicate page
   };
-  for (const auto& page : pages) {
-    for (const PageCodec codec : kAllCodecs) {
-      EXPECT_EQ(RoundTrip(codec, page), page);
-    }
-  }
+  for (const auto& page : pages) EXPECT_EQ(RoundTrip(page), page);
   // Tombstone bits survive the packed stamp.
   EXPECT_TRUE(IsTombstone(PackSeq(7, true)));
   EXPECT_FALSE(IsTombstone(PackSeq(7, false)));
   EXPECT_EQ(SequenceOf(PackSeq(7, true)), 7u);
 }
 
-TEST(PageCodecTest, DenseKeysCompress) {
-  // The motivating case: consecutive curve keys (a perfectly clustered
-  // run) shrink to a fraction of the raw 24 bytes per entry.
-  std::vector<Entry> entries;
-  for (uint64_t i = 0; i < 256; ++i) {
-    entries.push_back({1000 + i, i, PackSeq(i + 1, false)});
-  }
-  std::vector<uint8_t> raw_bytes;
-  EncodePage(PageCodec::kRaw, entries, &raw_bytes);
-  std::vector<uint8_t> delta_bytes;
-  EncodePage(PageCodec::kDeltaVarint, entries, &delta_bytes);
-  EXPECT_EQ(raw_bytes.size(), 256 * kEntryBytesV3);
-  EXPECT_LT(delta_bytes.size() * 3, raw_bytes.size());
-  EXPECT_EQ(RoundTrip(PageCodec::kDeltaVarint, entries), entries);
-}
-
-TEST(PageCodecTest, BitpackCompressesAndValidates) {
-  // Clustered keys + small payloads + consecutive seqs: every column packs
-  // to a narrow width, far below both raw and the varint encoding.
-  std::vector<Entry> entries;
-  for (uint64_t i = 0; i < 256; ++i) {
-    entries.push_back({1000 + i, i, PackSeq(i + 1, false)});
-  }
-  std::vector<uint8_t> packed;
-  EncodePage(PageCodec::kBitpack, entries, &packed);
-  EXPECT_LT(packed.size() * 4, 256 * kEntryBytesV3);
-  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, entries), entries);
-
-  // A constant column costs zero stream bytes: single-key pages pack to
-  // the header alone.
-  std::vector<Entry> constant(200, Entry{42, 7, PackSeq(9, false)});
-  packed.clear();
-  EncodePage(PageCodec::kBitpack, constant, &packed);
-  EXPECT_EQ(packed.size(), 27u);  // 3 width bytes + 3 u64 bases
-  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, constant), constant);
-
-  // Trailing garbage and truncation are both size mismatches.
-  packed.push_back(0);
-  std::vector<Entry> decoded;
-  EXPECT_FALSE(DecodePage(PageCodec::kBitpack, packed.data(), packed.size(),
-                          constant.size(), &decoded));
-  // A width byte past 64 can never be valid.
-  std::vector<uint8_t> bad;
-  EncodePage(PageCodec::kBitpack, entries, &bad);
-  bad[0] = 65;
-  EXPECT_FALSE(DecodePage(PageCodec::kBitpack, bad.data(), bad.size(),
-                          entries.size(), &decoded));
-  // Max-u64 keys round-trip at the top of the range...
-  std::vector<Entry> high{{~0ull - 1, 0, 0}, {~0ull, 0, 0}};
-  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, high), high);
-  // ...and a stored delta that would wrap a key past 2^64 is rejected as
-  // corruption, not wrapped. Hand-crafted page: key_base = ~0ull with a
-  // 1-bit key column whose second delta is 1.
-  bad.clear();
-  EncodePage(PageCodec::kBitpack, high, &bad);
-  for (int i = 0; i < 8; ++i) bad[3 + i] = 0xff;  // key_base := ~0ull
-  EXPECT_FALSE(DecodePage(PageCodec::kBitpack, bad.data(), bad.size(),
-                          high.size(), &decoded));
+TEST(PageCodecTest, RawLayoutIsLittleEndianTriples) {
+  // The on-disk page bytes: per entry u64 key, u64 payload, u64 seq,
+  // little-endian, back to back.
+  const std::vector<Entry> entries = {{0x0102030405060708ull, 9, 10},
+                                      {0x0102030405060709ull, 11, 12}};
+  std::vector<uint8_t> bytes = {0xaa};  // EncodePage appends
+  EncodePage(entries, &bytes);
+  ASSERT_EQ(bytes.size(), 1 + 2 * kEntryBytesV3);
+  EXPECT_EQ(bytes[0], 0xaa);
+  const uint8_t first_key[8] = {8, 7, 6, 5, 4, 3, 2, 1};
+  EXPECT_TRUE(std::equal(first_key, first_key + 8, bytes.begin() + 1));
+  EXPECT_EQ(bytes[1 + 8], 9);
+  EXPECT_EQ(bytes[1 + 16], 10);
+  EXPECT_EQ(bytes[1 + 24], 9);
+  EXPECT_EQ(bytes[1 + 40], 12);
 }
 
 TEST(PageCodecTest, MalformedBuffersRejected) {
@@ -159,22 +94,15 @@ TEST(PageCodecTest, MalformedBuffersRejected) {
     entries.push_back({i * 1000, i, PackSeq(i + 1, i % 5 == 0)});
   }
   std::vector<Entry> decoded;
-  for (const PageCodec codec : kAllCodecs) {
-    std::vector<uint8_t> bytes;
-    EncodePage(codec, entries, &bytes);
-    bytes.push_back(0x00);
-    // Every codec decodes exactly the encoded length for the declared
-    // count: a strict prefix, nothing, and one extra byte all fail.
-    for (const size_t size : {bytes.size() - 2, size_t{0}, bytes.size()}) {
-      EXPECT_FALSE(DecodePage(codec, bytes.data(), size, entries.size(),
-                              &decoded))
-          << PageCodecName(codec) << " size " << size;
-    }
+  std::vector<uint8_t> bytes;
+  EncodePage(entries, &bytes);
+  bytes.push_back(0x00);
+  // The page decodes exactly the encoded length for the declared count: a
+  // strict prefix, nothing, and one extra byte all fail.
+  for (const size_t size : {bytes.size() - 2, size_t{0}, bytes.size()}) {
+    EXPECT_FALSE(DecodePage(bytes.data(), size, entries.size(), &decoded))
+        << "size " << size;
   }
-  // Varints that run past 64 bits (11 continuation bytes) are rejected.
-  const std::vector<uint8_t> overflow(16, 0xff);
-  EXPECT_FALSE(DecodePage(PageCodec::kDeltaVarint, overflow.data(),
-                          overflow.size(), 1, &decoded));
 }
 
 TEST(FilterBlockTest, NoFalseNegatives) {

@@ -1,6 +1,6 @@
-// Tests for the page-packed run and LRU buffer pool: fence search, range
-// scans against a reference, LRU eviction, and sequential-vs-seek
-// accounting.
+// Tests for a single in-memory run (storage::MemPageSource) read through
+// the LRU buffer pool (storage::BufferPool): fence search, range scans
+// against a reference, LRU eviction, and sequential-vs-seek accounting.
 
 #include <algorithm>
 #include <vector>
@@ -8,22 +8,23 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "index/pager.h"
+#include "storage/buffer_pool.h"
+#include "storage/mem_source.h"
 
-namespace onion {
+namespace onion::storage {
 namespace {
 
-PackedRun MakeRun(const std::vector<Key>& keys, uint32_t page_size) {
-  std::vector<PackedRun::Entry> entries;
+MemPageSource MakeRun(const std::vector<Key>& keys, uint32_t page_size) {
+  std::vector<Entry> entries;
   entries.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     entries.push_back({keys[i], i});
   }
-  return PackedRun(std::move(entries), page_size);
+  return MemPageSource(std::move(entries), page_size);
 }
 
-TEST(PackedRunTest, PageGeometry) {
-  const PackedRun run = MakeRun({1, 2, 3, 4, 5, 6, 7}, 3);
+TEST(MemPageSourceTest, PageGeometry) {
+  const MemPageSource run = MakeRun({1, 2, 3, 4, 5, 6, 7}, 3);
   EXPECT_EQ(run.num_entries(), 7u);
   EXPECT_EQ(run.num_pages(), 3u);
   EXPECT_EQ(run.PageBegin(1), 3u);
@@ -31,9 +32,9 @@ TEST(PackedRunTest, PageGeometry) {
   EXPECT_EQ(run.PageEnd(2), 7u);  // last page partially filled
 }
 
-TEST(PackedRunTest, PageOfFenceSearch) {
+TEST(MemPageSourceTest, PageOfFenceSearch) {
   // Pages: [10, 20, 30] [40, 50, 60] [70].
-  const PackedRun run = MakeRun({10, 20, 30, 40, 50, 60, 70}, 3);
+  const MemPageSource run = MakeRun({10, 20, 30, 40, 50, 60, 70}, 3);
   EXPECT_EQ(run.PageOf(5), 0u);   // before everything
   EXPECT_EQ(run.PageOf(10), 0u);
   EXPECT_EQ(run.PageOf(30), 0u);  // last entry of page 0
@@ -44,8 +45,8 @@ TEST(PackedRunTest, PageOfFenceSearch) {
   EXPECT_EQ(run.PageOf(1000), 3u);  // nothing qualifies
 }
 
-TEST(PackedRunTest, DuplicateKeysAcrossPages) {
-  const PackedRun run = MakeRun({5, 5, 5, 5, 5, 8}, 2);
+TEST(MemPageSourceTest, DuplicateKeysAcrossPages) {
+  const MemPageSource run = MakeRun({5, 5, 5, 5, 5, 8}, 2);
   // PageOf(5) must be the FIRST page whose span can contain key 5.
   EXPECT_EQ(run.PageOf(5), 0u);
 }
@@ -55,8 +56,8 @@ TEST(BufferPoolTest, ScanMatchesReference) {
   std::vector<Key> keys;
   for (int i = 0; i < 500; ++i) keys.push_back(rng.UniformInclusive(999));
   std::sort(keys.begin(), keys.end());
-  const PackedRun run = MakeRun(keys, 16);
-  BufferPool pool(&run, 8);
+  const MemPageSource run = MakeRun(keys, 16);
+  BufferPool pool(8);
   for (int trial = 0; trial < 50; ++trial) {
     const Key lo = rng.UniformInclusive(999);
     const Key hi = lo + rng.UniformInclusive(200);
@@ -65,7 +66,8 @@ TEST(BufferPoolTest, ScanMatchesReference) {
       if (key >= lo && key <= hi) expected.push_back(key);
     }
     std::vector<Key> actual;
-    pool.ScanRange(lo, hi, [&](Key key, uint64_t) { actual.push_back(key); });
+    pool.ScanRange(run, lo, hi,
+                   [&](Key key, uint64_t) { actual.push_back(key); });
     ASSERT_EQ(actual, expected) << "[" << lo << ", " << hi << "]";
   }
 }
@@ -73,12 +75,12 @@ TEST(BufferPoolTest, ScanMatchesReference) {
 TEST(BufferPoolTest, CacheHitsOnRepeatedScan) {
   std::vector<Key> keys(100);
   for (size_t i = 0; i < keys.size(); ++i) keys[i] = i;
-  const PackedRun run = MakeRun(keys, 10);
-  BufferPool pool(&run, 100);  // everything fits
-  pool.ScanRange(0, 99, [](Key, uint64_t) {});
+  const MemPageSource run = MakeRun(keys, 10);
+  BufferPool pool(100);  // everything fits
+  pool.ScanRange(run, 0, 99, [](Key, uint64_t) {});
   const uint64_t cold_reads = pool.stats().page_reads;
   EXPECT_EQ(cold_reads, 10u);
-  pool.ScanRange(0, 99, [](Key, uint64_t) {});
+  pool.ScanRange(run, 0, 99, [](Key, uint64_t) {});
   EXPECT_EQ(pool.stats().page_reads, cold_reads);  // all hits
   EXPECT_EQ(pool.stats().cache_hits, 10u);
 }
@@ -86,11 +88,11 @@ TEST(BufferPoolTest, CacheHitsOnRepeatedScan) {
 TEST(BufferPoolTest, LruEvictsUnderPressure) {
   std::vector<Key> keys(100);
   for (size_t i = 0; i < keys.size(); ++i) keys[i] = i;
-  const PackedRun run = MakeRun(keys, 10);
-  BufferPool pool(&run, 3);  // only 3 of 10 pages fit
-  pool.ScanRange(0, 99, [](Key, uint64_t) {});
+  const MemPageSource run = MakeRun(keys, 10);
+  BufferPool pool(3);  // only 3 of 10 pages fit
+  pool.ScanRange(run, 0, 99, [](Key, uint64_t) {});
   EXPECT_EQ(pool.resident_pages(), 3u);
-  pool.ScanRange(0, 99, [](Key, uint64_t) {});
+  pool.ScanRange(run, 0, 99, [](Key, uint64_t) {});
   // Sequential sweep with a tiny pool: every page is a miss again.
   EXPECT_EQ(pool.stats().page_reads, 20u);
 }
@@ -98,9 +100,9 @@ TEST(BufferPoolTest, LruEvictsUnderPressure) {
 TEST(BufferPoolTest, SequentialReadsCountOneSeek) {
   std::vector<Key> keys(100);
   for (size_t i = 0; i < keys.size(); ++i) keys[i] = i;
-  const PackedRun run = MakeRun(keys, 10);
-  BufferPool pool(&run, 100);
-  pool.ScanRange(0, 99, [](Key, uint64_t) {});
+  const MemPageSource run = MakeRun(keys, 10);
+  BufferPool pool(100);
+  pool.ScanRange(run, 0, 99, [](Key, uint64_t) {});
   // 10 sequential page reads = 1 seek.
   EXPECT_EQ(pool.stats().page_reads, 10u);
   EXPECT_EQ(pool.stats().seeks, 1u);
@@ -110,22 +112,22 @@ TEST(BufferPoolTest, SequentialReadsCountOneSeek) {
 TEST(BufferPoolTest, DisjointRangesCountMultipleSeeks) {
   std::vector<Key> keys(100);
   for (size_t i = 0; i < keys.size(); ++i) keys[i] = i;
-  const PackedRun run = MakeRun(keys, 10);
-  BufferPool pool(&run, 100);
-  pool.ScanRange(0, 9, [](Key, uint64_t) {});    // page 0
-  pool.ScanRange(50, 59, [](Key, uint64_t) {});  // page 5
-  pool.ScanRange(90, 99, [](Key, uint64_t) {});  // page 9
+  const MemPageSource run = MakeRun(keys, 10);
+  BufferPool pool(100);
+  pool.ScanRange(run, 0, 9, [](Key, uint64_t) {});    // page 0
+  pool.ScanRange(run, 50, 59, [](Key, uint64_t) {});  // page 5
+  pool.ScanRange(run, 90, 99, [](Key, uint64_t) {});  // page 9
   EXPECT_EQ(pool.stats().seeks, 3u);
 }
 
 TEST(BufferPoolTest, EmptyRun) {
-  const PackedRun run = MakeRun({}, 4);
-  BufferPool pool(&run, 2);
+  const MemPageSource run = MakeRun({}, 4);
+  BufferPool pool(2);
   uint64_t visited = 0;
-  pool.ScanRange(0, 100, [&](Key, uint64_t) { ++visited; });
+  pool.ScanRange(run, 0, 100, [&](Key, uint64_t) { ++visited; });
   EXPECT_EQ(visited, 0u);
   EXPECT_EQ(pool.stats().page_reads, 0u);
 }
 
 }  // namespace
-}  // namespace onion
+}  // namespace onion::storage

@@ -1,8 +1,8 @@
 // Tests for the on-disk segment format: write -> reopen round trips
 // (including empty and single-page segments), fence-index correctness,
 // header validation of corrupted files, agreement with the in-memory page
-// source on identical data, codec round trips, bloom-filter probes,
-// zone-map pruning, and refusal of every format version but 3.
+// source on identical data, bloom-filter probes, zone-map pruning, and
+// refusal of every format version but 3 and every page codec id but 0.
 
 #include <algorithm>
 #include <cstdio>
@@ -157,45 +157,6 @@ TEST(SegmentTest, AbandonedWriterLeavesNoFile) {
   if (f != nullptr) std::fclose(f);
 }
 
-TEST(SegmentTest, DeltaVarintSegmentRoundTripsAndShrinks) {
-  Rng rng(13);
-  std::vector<Entry> entries;
-  Key key = 0;
-  for (uint64_t i = 0; i < 2000; ++i) {
-    key += rng.UniformInclusive(5);  // dense, with duplicates
-    entries.push_back({key, i});
-  }
-  const std::string raw_path = TempPath("seg_codec_raw.sfc");
-  const std::string delta_path = TempPath("seg_codec_delta.sfc");
-  for (const auto& [path, codec] :
-       {std::pair<std::string, PageCodec>{raw_path, PageCodec::kRaw},
-        {delta_path, PageCodec::kDeltaVarint}}) {
-    std::remove(path.c_str());
-    SegmentWriterOptions options;
-    options.entries_per_page = 64;
-    options.codec = codec;
-    SegmentWriter writer(path, options);
-    for (const Entry& entry : entries) {
-      ASSERT_TRUE(writer.Add(entry.key, entry.payload).ok());
-    }
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  auto raw = SegmentReader::Open(raw_path);
-  auto delta = SegmentReader::Open(delta_path);
-  ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  EXPECT_EQ(raw.value()->format_version(), 3u);
-  EXPECT_EQ(delta.value()->codec(), PageCodec::kDeltaVarint);
-  // Byte-identical decoded entries, strictly fewer bytes on disk.
-  EXPECT_EQ(ReadAll(*raw.value()), entries);
-  EXPECT_EQ(ReadAll(*delta.value()), entries);
-  EXPECT_LT(delta.value()->file_bytes(), raw.value()->file_bytes());
-  for (uint64_t p = 0; p < delta.value()->num_pages(); ++p) {
-    EXPECT_LT(delta.value()->PageDiskBytes(p),
-              raw.value()->PageDiskBytes(p));
-  }
-}
-
 TEST(SegmentTest, BloomFilterProbesHaveNoFalseNegatives) {
   std::vector<Entry> entries;
   for (uint64_t i = 0; i < 1000; ++i) entries.push_back({i * 7, i});
@@ -277,7 +238,7 @@ TEST(SegmentTest, ZoneMapsPruneDisjointBoxes) {
 
 TEST(SegmentTest, SeqStampsRoundTripThroughSegments) {
   // Every entry's packed MVCC stamp (sequence + tombstone bit) must
-  // survive the write -> reopen -> decode cycle under both codecs.
+  // survive the write -> reopen -> decode cycle.
   Rng rng(41);
   std::vector<Entry> entries;
   Key key = 0;
@@ -285,30 +246,25 @@ TEST(SegmentTest, SeqStampsRoundTripThroughSegments) {
     key += rng.UniformInclusive(4);
     entries.push_back({key, i, PackSeq(i + 1, i % 6 == 0)});
   }
-  for (const PageCodec codec : {PageCodec::kRaw, PageCodec::kDeltaVarint,
-                                PageCodec::kBitpack}) {
-    const std::string path =
-        TempPath(std::string("seg_seq_") + PageCodecName(codec) + ".sfc");
-    std::remove(path.c_str());
-    SegmentWriterOptions options;
-    options.entries_per_page = 32;
-    options.codec = codec;
-    SegmentWriter writer(path, options);
-    for (const Entry& entry : entries) {
-      ASSERT_TRUE(writer.Add(entry.key, entry.payload, entry.seq).ok());
-    }
-    ASSERT_TRUE(writer.Finish().ok());
-    auto reader = SegmentReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ(reader.value()->format_version(), 3u);
-    EXPECT_EQ(ReadAll(*reader.value()), entries);
+  const std::string path = TempPath("seg_seq_raw.sfc");
+  std::remove(path.c_str());
+  SegmentWriterOptions options;
+  options.entries_per_page = 32;
+  SegmentWriter writer(path, options);
+  for (const Entry& entry : entries) {
+    ASSERT_TRUE(writer.Add(entry.key, entry.payload, entry.seq).ok());
   }
+  ASSERT_TRUE(writer.Finish().ok());
+  auto reader = SegmentReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.value()->format_version(), 3u);
+  EXPECT_EQ(ReadAll(*reader.value()), entries);
 }
 
 TEST(SegmentTest, BatchedReadPagesMatchesPerPageReads) {
   // ReadPages must deliver byte-identical pages to a ReadPage loop, for
-  // every codec (variable page sizes stress the contiguous-span math) and
-  // every run position/length.
+  // every run position/length (a short last page stresses the
+  // contiguous-span math).
   Rng rng(43);
   std::vector<Entry> entries;
   Key key = 0;
@@ -316,34 +272,28 @@ TEST(SegmentTest, BatchedReadPagesMatchesPerPageReads) {
     key += rng.UniformInclusive(6);
     entries.push_back({key, i * 3, PackSeq(i + 1, i % 9 == 0)});
   }
-  for (const PageCodec codec : {PageCodec::kRaw, PageCodec::kDeltaVarint,
-                                PageCodec::kBitpack}) {
-    const std::string path =
-        TempPath(std::string("seg_batch_") + PageCodecName(codec) + ".sfc");
-    std::remove(path.c_str());
-    SegmentWriterOptions options;
-    options.entries_per_page = 24;
-    options.codec = codec;
-    SegmentWriter writer(path, options);
-    for (const Entry& entry : entries) {
-      ASSERT_TRUE(writer.Add(entry.key, entry.payload, entry.seq).ok());
-    }
-    ASSERT_TRUE(writer.Finish().ok());
-    auto opened = SegmentReader::Open(path);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    const auto reader = std::move(opened).value();
-    const uint64_t pages = reader->num_pages();
-    for (uint64_t first = 0; first < pages; ++first) {
-      for (uint64_t count = 1; count <= pages - first; ++count) {
-        std::vector<std::vector<Entry>> batch;
-        ASSERT_TRUE(reader->ReadPages(first, count, &batch).ok());
-        ASSERT_EQ(batch.size(), count);
-        for (uint64_t i = 0; i < count; ++i) {
-          std::vector<Entry> single;
-          ASSERT_TRUE(reader->ReadPage(first + i, &single).ok());
-          ASSERT_EQ(batch[i], single)
-              << PageCodecName(codec) << " page " << first + i;
-        }
+  const std::string path = TempPath("seg_batch_raw.sfc");
+  std::remove(path.c_str());
+  SegmentWriterOptions options;
+  options.entries_per_page = 24;
+  SegmentWriter writer(path, options);
+  for (const Entry& entry : entries) {
+    ASSERT_TRUE(writer.Add(entry.key, entry.payload, entry.seq).ok());
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  auto opened = SegmentReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const auto reader = std::move(opened).value();
+  const uint64_t pages = reader->num_pages();
+  for (uint64_t first = 0; first < pages; ++first) {
+    for (uint64_t count = 1; count <= pages - first; ++count) {
+      std::vector<std::vector<Entry>> batch;
+      ASSERT_TRUE(reader->ReadPages(first, count, &batch).ok());
+      ASSERT_EQ(batch.size(), count);
+      for (uint64_t i = 0; i < count; ++i) {
+        std::vector<Entry> single;
+        ASSERT_TRUE(reader->ReadPage(first + i, &single).ok());
+        ASSERT_EQ(batch[i], single) << "page " << first + i;
       }
     }
   }
@@ -421,20 +371,32 @@ TEST(SegmentTest, OpenRejectsUnknownFutureVersion) {
 }
 
 TEST(SegmentTest, OpenRejectsCorruptedV2Header) {
+  // Codec id 0 (raw) is the only one that opens. The retired ids 1
+  // (delta_varint) and 2 (bitpack) and a garbage id are all refused by
+  // name, before the header checksum is consulted.
   const std::vector<Entry> entries = {{1, 1}, {2, 2}, {3, 3}};
-  auto reader = WriteAndOpen("seg_corrupt_v2.sfc", entries, 2);
-  ASSERT_EQ(reader->format_version(), 3u);
-  reader.reset();
-  const std::string path = TempPath("seg_corrupt_v2.sfc");
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 56, SEEK_SET);  // codec id field of the v2 header
-  const uint8_t bogus = 0x5a;
-  std::fwrite(&bogus, 1, 1, f);
-  std::fclose(f);
-  auto result = SegmentReader::Open(path);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (const uint32_t codec_id : {1u, 2u, 0x5au}) {
+    const std::string name = "seg_codec_" + std::to_string(codec_id) + ".sfc";
+    auto reader = WriteAndOpen(name, entries, 2);
+    ASSERT_EQ(reader->format_version(), 3u);
+    reader.reset();
+    const std::string path = TempPath(name);
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 56, SEEK_SET);  // codec id field of the v2 header
+    uint8_t codec_bytes[4];
+    PutU32(codec_bytes, codec_id);
+    std::fwrite(codec_bytes, 1, 4, f);
+    std::fclose(f);
+    auto result = SegmentReader::Open(path);
+    ASSERT_FALSE(result.ok()) << codec_id;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find(
+                  "unsupported segment page codec id " +
+                  std::to_string(codec_id)),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 }  // namespace

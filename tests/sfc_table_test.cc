@@ -455,9 +455,6 @@ TEST(SfcTableTest, OptionValidationRejectsBadValues) {
   options.level_growth_factor = 1;
   expect_invalid(options, "level_growth_factor");
   options = SfcTableOptions{};
-  options.codec = static_cast<PageCodec>(99);
-  expect_invalid(options, "codec");
-  options = SfcTableOptions{};
   options.filter_bits_per_key = 65;
   expect_invalid(options, "filter_bits_per_key");
 
@@ -495,20 +492,16 @@ TEST(SfcTableTest, ReopenedTableAcceptsMoreInserts) {
 }
 
 TEST(SfcTableTest, QueryResultsIdenticalAcrossCodecs) {
-  // The acceptance bar of segment format v2: byte-identical query results
-  // whatever the codec/filter configuration, on mixed multi-segment state.
+  // Byte-identical query results with and without bloom filters, on mixed
+  // multi-segment state.
   const Universe universe(2, 64);
   const auto points = RandomPoints(universe, 5000, 61);
   const auto boxes = RandomCubes(universe, 14, 30, 67);
   struct Config {
-    PageCodec codec;
     uint32_t filter_bits;
     const char* tag;
   };
-  const Config configs[] = {{PageCodec::kRaw, 0, "raw0"},
-                            {PageCodec::kRaw, 10, "raw10"},
-                            {PageCodec::kDeltaVarint, 0, "delta0"},
-                            {PageCodec::kDeltaVarint, 10, "delta10"}};
+  const Config configs[] = {{0, "raw0"}, {10, "raw10"}};
   std::vector<std::unique_ptr<SfcTable>> tables;
   for (const Config& config : configs) {
     SfcTableOptions options;
@@ -516,7 +509,6 @@ TEST(SfcTableTest, QueryResultsIdenticalAcrossCodecs) {
     options.pool_pages = 16;
     options.memtable_flush_entries = 700;
     options.l0_compaction_trigger = 3;
-    options.codec = config.codec;
     options.filter_bits_per_key = config.filter_bits;
     auto table = SfcTable::Create(FreshDir(std::string("codec_equiv_") +
                                            config.tag),
@@ -553,37 +545,28 @@ TEST(SfcTableTest, QueryResultsIdenticalAcrossCodecs) {
   }
 }
 
-TEST(SfcTableTest, ManifestRecordsCodecAcrossReopen) {
+TEST(SfcTableTest, ManifestRecordsFilterBudgetAcrossReopen) {
   const Universe universe(2, 32);
-  const std::string dir = FreshDir("manifest_codec");
+  const std::string dir = FreshDir("manifest_filter");
   {
     SfcTableOptions options;
-    options.codec = PageCodec::kDeltaVarint;
-    options.filter_bits_per_key = 6;
+    options.filter_bits_per_key = 0;
     auto table = SfcTable::Create(dir, "onion", universe, options);
     ASSERT_TRUE(table.ok());
-    for (uint64_t i = 0; i < 200; ++i) {
-      ASSERT_TRUE(
-          table.value()->Insert(Cell(i % 32, (i / 32) % 32), i).ok());
-    }
+    ASSERT_TRUE(table.value()->Insert(Cell(1, 1), 1).ok());
     ASSERT_TRUE(table.value()->Close().ok());
   }
-  // Reopen with DEFAULT options (raw codec): the manifest must win, so
-  // segments flushed after reopen still use delta_varint.
+  // Reopen with DEFAULT options (10 bits per key): the manifest must win,
+  // so segments flushed after reopen still carry no filter block.
   auto table = SfcTable::Open(dir);
   ASSERT_TRUE(table.ok());
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        table.value()->Insert(Cell((i * 7) % 32, (i * 3) % 32), 1000 + i)
-            .ok());
-  }
+  ASSERT_TRUE(table.value()->Insert(Cell(2, 2), 2).ok());
   ASSERT_TRUE(table.value()->Flush().ok());
   const auto infos = table.value()->SegmentInfos();
   ASSERT_FALSE(infos.empty());
   for (const SegmentInfo& info : infos) {
-    EXPECT_EQ(info.codec, PageCodec::kDeltaVarint) << info.file;
+    EXPECT_EQ(info.filter_bytes, 0u) << info.file;
     EXPECT_EQ(info.format_version, 3u) << info.file;
-    EXPECT_GT(info.filter_bytes, 0u) << info.file;
     EXPECT_GT(info.disk_bytes, 0u) << info.file;
   }
 }
@@ -790,6 +773,22 @@ TEST(SfcTableTest, RetiredOrIncompleteManifestRejectedAtOpen) {
     ASSERT_FALSE(opened.ok()) << version;
     EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(opened.status().ToString().find("unsupported manifest version"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  // Pages are raw only: a manifest naming a retired codec is refused.
+  const std::string codec_line = "\ncodec raw\n";
+  const size_t codec_at = written.find(codec_line);
+  ASSERT_NE(codec_at, std::string::npos) << written;
+  for (const std::string codec : {"delta_varint", "bitpack"}) {
+    WriteWholeFile(path, written.substr(0, codec_at) + "\ncodec " + codec +
+                             "\n" +
+                             written.substr(codec_at + codec_line.size()));
+    auto opened = SfcTable::Open(dir);
+    ASSERT_FALSE(opened.ok()) << codec;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().ToString().find("unsupported manifest codec '" +
+                                              codec + "'"),
               std::string::npos)
         << opened.status().ToString();
   }
