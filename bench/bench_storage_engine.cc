@@ -1,8 +1,6 @@
 // End-to-end storage-engine benchmark on REAL files: for each curve, build
-// persistent SfcTables over the same point set — one per segment-format
-// configuration (pages without filters vs pages with bloom filters) —
-// compact them to a single on-disk run, and replay box-query workloads
-// through the buffer pool. Reports measured page reads, disk seeks, cache
+// a persistent SfcTable over the same point set, compact it to a single
+// on-disk run, and replay box-query workloads through the buffer pool. Reports measured page reads, disk seeks, cache
 // hits, on-disk bytes, and modeled HDD latency next to the analytic
 // average clustering number — the paper's claim is
 // that the measured seek ranking follows the clustering ranking, and here
@@ -16,9 +14,12 @@
 //       pages — adds the sparsity effects a real table sees.
 //
 // Grid mode additionally runs a point-Get phase over a half-populated
-// ("checkerboard") grid, where every segment's key span covers the whole
-// universe: fence pruning cannot help, so the bloom filter is what saves
-// the absent probes. The bench FAILS (nonzero exit) if the filtered
+// ("checkerboard") grid, once per segment-format configuration (pages
+// without filters vs pages with bloom filters). Every segment's key span
+// covers the whole universe there: fence pruning cannot help, so the bloom
+// filter is what saves the absent probes. Box queries run on unfiltered
+// tables only — bloom filters serve point probes alone, so a filtered
+// table would replay the same seeks, reads and hits. The bench FAILS (nonzero exit) if the filtered
 // configuration does not fetch fewer pages for point Gets than the
 // unfiltered one — CI smoke-runs this as a regression gate.
 //
@@ -159,41 +160,33 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(pool_pages));
   if (csv) bench::PrintIoCsvHeader();
 
-  // Build every (curve, format) table once; the box workloads and the
-  // byte comparison reuse them.
+  // Build one unfiltered table per curve; the box workloads and the byte
+  // comparison reuse them. (Filtered and unfiltered box results are pinned
+  // identical by SfcTableTest.QueryResultsIdenticalAcrossCodecs.)
+  const FormatConfig& box_config = configs.front();
   struct BenchTable {
     std::string curve;
-    std::string config;
     std::unique_ptr<storage::SfcTable> table;
   };
   std::vector<BenchTable> tables;
   for (const std::string& name : names) {
-    for (const FormatConfig& config : configs) {
-      storage::SfcTableOptions options;
-      options.entries_per_page = page;
-      options.pool_pages = pool_pages;
-      options.readahead_pages = readahead;
-      options.filter_bits_per_key = config.filter_bits_per_key;
-      tables.push_back(BenchTable{
-          name, config.tag,
-          BuildTable(base_dir + "/" + name + "_" + config.tag, name,
-                     universe, options, points)});
-    }
+    storage::SfcTableOptions options;
+    options.entries_per_page = page;
+    options.pool_pages = pool_pages;
+    options.readahead_pages = readahead;
+    options.filter_bits_per_key = box_config.filter_bits_per_key;
+    tables.push_back(BenchTable{
+        name, BuildTable(base_dir + "/" + name + "_" + box_config.tag, name,
+                         universe, options, points)});
   }
 
   std::printf("--- on-disk footprint ---\n");
-  std::printf("%-10s %-14s %14s %14s\n", "curve", "config", "disk KB",
-              "filter KB");
+  std::printf("%-10s %-14s %14s\n", "curve", "config", "disk KB");
   for (const BenchTable& bench_table : tables) {
-    uint64_t filter_bytes = 0;
-    for (const auto& info : bench_table.table->SegmentInfos()) {
-      filter_bytes += info.filter_bytes;
-    }
-    std::printf("%-10s %-14s %14.1f %14.1f\n", bench_table.curve.c_str(),
-                bench_table.config.c_str(),
+    std::printf("%-10s %-14s %14.1f\n", bench_table.curve.c_str(),
+                box_config.tag.c_str(),
                 static_cast<double>(TableDiskBytes(*bench_table.table)) /
-                    1024.0,
-                static_cast<double>(filter_bytes) / 1024.0);
+                    1024.0);
   }
   std::printf("\n");
 
@@ -213,7 +206,6 @@ int main(int argc, char** argv) {
     std::printf("%-10s %-14s %10s %10s %10s %10s %12s %10s\n", "curve",
                 "config", "avg seeks", "page reads", "cache hits",
                 "entries/q", "avg cluster", "HDD ms/q");
-    uint64_t raw_results = 0;
     for (const BenchTable& bench_table : tables) {
       auto& table = *bench_table.table;
       // One streamed run per query, twice: the COLD pass measures the
@@ -245,14 +237,6 @@ int main(int argc, char** argv) {
       agg_io += io + table.io_stats();
       ONION_CHECK_MSG(warm_results == results,
                       "warm pass changed query results");
-      // Equivalence gate: every format configuration must produce the
-      // same result count for the same workload on the same curve.
-      if (bench_table.config == configs.front().tag) {
-        raw_results = results;
-      } else {
-        ONION_CHECK_MSG(results == raw_results,
-                        "filter changed query results");
-      }
       const ClusteringEvaluator evaluator(&table.curve());
       double clustering_sum = 0;
       for (const Box& query : workload.queries) {
@@ -260,7 +244,7 @@ int main(int argc, char** argv) {
       }
       const double q = static_cast<double>(workload.queries.size());
       std::printf("%-10s %-14s %10.1f %10.1f %10.1f %10.1f %12.1f %10.2f\n",
-                  bench_table.curve.c_str(), bench_table.config.c_str(),
+                  bench_table.curve.c_str(), box_config.tag.c_str(),
                   static_cast<double>(io.seeks) / q,
                   static_cast<double>(io.page_reads) / q,
                   static_cast<double>(io.cache_hits) / q,
@@ -268,7 +252,7 @@ int main(int argc, char** argv) {
                   est_ms / q);
       if (csv) {
         bench::PrintIoCsvRow(workload.tag,
-                             bench_table.curve + ":" + bench_table.config,
+                             bench_table.curve + ":" + box_config.tag,
                              workload.queries.size(), io, clustering_sum / q,
                              est_ms / q);
       }
@@ -372,15 +356,6 @@ int main(int argc, char** argv) {
                  : static_cast<double>(latency.count) * 1e6 /
                        static_cast<double>(latency.sum));
   report.AddLatency("", latency);
-  // The engine's own per-Next() histogram, merged over every table — the
-  // finer-grained series the JSON trajectory tracks alongside the
-  // per-query numbers above.
-  obs::HistogramSnapshot next_us;
-  for (const BenchTable& bench_table : tables) {
-    next_us +=
-        bench_table.table->metrics().histogram("cursor.next_us")->Snapshot();
-  }
-  report.AddLatency("cursor_next", next_us);
   // Headline hit ratio is the WARM phase (steady state); the cold phase —
   // what the fixed 64-page pool used to measure exclusively — is reported
   // alongside.

@@ -73,6 +73,18 @@ void AppendBox(std::vector<uint8_t>* out, const Box& box) {
   AppendCell(out, box.hi);
 }
 
+size_t EncodeCursorEntry(const SpatialEntry& entry, uint8_t* dst) {
+  const Cell& cell = entry.cell;
+  ONION_CHECK_MSG(cell.dims >= 1 && cell.dims <= kMaxDims,
+                  "cell dims out of range");
+  uint8_t* p = dst;
+  *p++ = static_cast<uint8_t>(cell.dims);
+  for (int d = 0; d < cell.dims; ++d, p += 4) storage::PutU32(p, cell[d]);
+  storage::PutU64(p, entry.payload);
+  storage::PutU64(p + 8, entry.seq);
+  return static_cast<size_t>(p + 16 - dst);
+}
+
 std::vector<uint8_t> EncodeFrame(uint64_t request_id, uint8_t type,
                                  const std::vector<uint8_t>& payload) {
   const size_t body = kMinFrameBody + payload.size();

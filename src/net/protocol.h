@@ -105,6 +105,17 @@ void AppendCell(std::vector<uint8_t>* out, const Cell& cell);
 /// Two cells (lo, hi); dims must match.
 void AppendBox(std::vector<uint8_t>* out, const Box& box);
 
+/// Wire size of one kCursorNext entry: the cell (u8 dims + dims * u32),
+/// then u64 payload and u64 seq.
+inline size_t CursorEntryBytes(int dims) {
+  return 1 + 4 * static_cast<size_t>(dims) + 16;
+}
+/// Writes one kCursorNext entry at `dst`, which must hold
+/// CursorEntryBytes(entry.cell.dims) bytes; returns that count. The bytes
+/// equal AppendCell + AppendU64(payload) + AppendU64(seq), so a chunk can
+/// be encoded in place into a presized payload.
+size_t EncodeCursorEntry(const SpatialEntry& entry, uint8_t* dst);
+
 /// Wraps (request_id, type, payload) into one complete frame — header,
 /// CRC, body — ready to write to the stream.
 std::vector<uint8_t> EncodeFrame(uint64_t request_id, uint8_t type,

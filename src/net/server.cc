@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "storage/codec.h"
 #include "storage/write_batch.h"
 
 namespace onion::net {
@@ -490,8 +491,6 @@ void SfcServer::ExpireStale(uint64_t now_us) {
     for (const auto& [id, state] : session->cursors) {
       if (state.pin != nullptr) ++pins;
     }
-    sessions_expired_->Increment();
-    snapshots_force_released_->Add(pins);
     obs::TraceRing& ring = db_->trace();
     obs::TraceEvent event;
     event.id = ring.NextId();
@@ -502,6 +501,10 @@ void SfcServer::ExpireStale(uint64_t now_us) {
     event.entries = pins;
     ring.Add(std::move(event));
     CloseSession(fd, "session deadline");
+    // Counted only once the pins are gone, so an observer that sees the
+    // expiry also sees its resources released.
+    sessions_expired_->Increment();
+    snapshots_force_released_->Add(pins);
   }
   std::vector<int> refused_stale;
   for (const auto& [fd, since_us] : refused_) {
@@ -723,14 +726,28 @@ std::vector<uint8_t> SfcServer::ExecCursorNext(Session* session,
   Cursor* cursor = it->second.cursor.get();
   const uint32_t cap =
       std::min(std::max<uint32_t>(max_entries, 1), options_.max_entries_per_chunk);
-  std::vector<uint8_t> body;
+  // The chunk is encoded in place: status, then a u8 flags + u32 count
+  // header patched after the loop, then each entry written straight into
+  // the payload. Capacity for `cap` entries is reserved up front; the
+  // size grows by doubling within it, so no entry reallocates or copies.
+  std::vector<uint8_t> out = StatusOnly(Status::OK());
+  const size_t header_at = out.size();
+  size_t end = header_at + 5;
+  out.resize(end);
+  if (cursor->Valid()) {
+    out.reserve(end + size_t{cap} *
+                          CursorEntryBytes(cursor->entry().cell.dims));
+  }
   uint32_t count = 0;
   for (; cursor->Valid() && count < cap; cursor->Next(), ++count) {
     const SpatialEntry& entry = cursor->entry();
-    AppendCell(&body, entry.cell);
-    AppendU64(&body, entry.payload);
-    AppendU64(&body, entry.seq);
+    const size_t need = CursorEntryBytes(entry.cell.dims);
+    if (out.size() - end < need) {
+      out.resize(std::max(end + need, std::min(out.capacity(), 2 * end)));
+    }
+    end += EncodeCursorEntry(entry, out.data() + end);
   }
+  out.resize(end);
   uint8_t flags = 0;
   if (!cursor->Valid()) {
     if (!cursor->status().ok()) {
@@ -747,10 +764,8 @@ std::vector<uint8_t> SfcServer::ExecCursorNext(Session* session,
     session->cursors.erase(it);
     cursors_open_->Add(-1);
   }
-  std::vector<uint8_t> out = StatusOnly(Status::OK());
-  AppendU8(&out, flags);
-  AppendU32(&out, count);
-  out.insert(out.end(), body.begin(), body.end());
+  out[header_at] = flags;
+  storage::PutU32(out.data() + header_at + 1, count);
   return out;
 }
 

@@ -106,7 +106,7 @@ class SnapshotCursor final : public Cursor {
                  const Box* query_box, std::vector<Entry> memtable_entries,
                  SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
                  AtomicIoStats* io_stats, const ReadOptions& options,
-                 obs::Histogram* next_latency_us)
+                 const QueryMetrics& query_metrics)
       : curve_(curve),
         ranges_(std::move(ranges)),
         has_box_(query_box != nullptr),
@@ -116,28 +116,29 @@ class SnapshotCursor final : public Cursor {
         pool_(std::move(pool)),
         io_stats_(io_stats),
         options_(options),
-        next_us_(next_latency_us),
+        query_metrics_(query_metrics),
         visible_seq_(options.snapshot != nullptr ? options.snapshot->sequence
                                                  : kMaxSequence) {
-    if (!ranges_.empty()) {
-      const obs::ScopedTimer timer(next_us_);  // the initial seek
-      if (BeginRange()) FindNext();
-    } else {
-      valid_ = false;
-    }
+    if (!ranges_.empty() && BeginRange()) FindNext();
+    if (!valid_) FlushEntriesRead();
   }
 
   ~SnapshotCursor() override {
-    // Pool-global entries_read and zone-map skips are batched here
-    // (per-event attribution went to io_stats_ immediately); the pool
-    // outlives the cursor by contract.
-    if (pool_ != nullptr) {
-      if (pending_entries_read_ > 0) {
-        pool_->AddEntriesRead(pending_entries_read_, nullptr);
-      }
-      if (pending_filter_skips_ > 0) {
-        pool_->AddFilterSkips(pending_filter_skips_, nullptr);
-      }
+    // Once per query, never per entry: the decomposition's range count
+    // (the clustering number) and the pages this cursor fetched.
+    if (query_metrics_.ranges != nullptr) {
+      query_metrics_.ranges->Record(ranges_.size());
+    }
+    if (query_metrics_.pages != nullptr) {
+      query_metrics_.pages->Record(pages_touched_);
+    }
+    // A cursor abandoned while still valid has not credited its entries
+    // yet. Pool-global zone-map skips are batched here (per-table
+    // attribution went to io_stats_ immediately); the pool outlives the
+    // cursor by contract.
+    FlushEntriesRead();
+    if (pool_ != nullptr && pending_filter_skips_ > 0) {
+      pool_->AddFilterSkips(pending_filter_skips_, nullptr);
     }
   }
 
@@ -146,8 +147,8 @@ class SnapshotCursor final : public Cursor {
   void Next() override {
     ONION_CHECK_MSG(valid_, "Next() on an invalid cursor");
     valid_ = false;
-    const obs::ScopedTimer timer(next_us_);
     FindNext();
+    if (!valid_) FlushEntriesRead();
   }
 
   const SpatialEntry& entry() const override {
@@ -181,6 +182,16 @@ class SnapshotCursor final : public Cursor {
     Entry entry;
     bool from_mem = false;
   };
+
+  /// Credits the segment entries delivered so far to the table and the
+  /// pool in one call. Runs when the cursor stops being valid (so a
+  /// drained cursor's count is visible while it is still alive) and
+  /// again from the destructor for an abandoned cursor's remainder.
+  void FlushEntriesRead() {
+    if (pool_ == nullptr || pending_entries_read_ == 0) return;
+    pool_->AddEntriesRead(pending_entries_read_, io_stats_);
+    pending_entries_read_ = 0;
+  }
 
   /// Counts one page fetch avoided by a zone-map check: locally (for the
   /// accessor), per-table (io_stats_, immediate), and pool-global
@@ -437,12 +448,7 @@ class SnapshotCursor final : public Cursor {
         current_ = SpatialEntry{curve_->CellAt(e.entry.key), e.entry.payload,
                                 SequenceOf(e.entry.seq)};
         ++delivered_;
-        if (!e.from_mem) {
-          ++pending_entries_read_;
-          if (io_stats_ != nullptr) {
-            io_stats_->entries_read.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+        if (!e.from_mem) ++pending_entries_read_;
         valid_ = true;
         return;
       }
@@ -463,7 +469,7 @@ class SnapshotCursor final : public Cursor {
   const std::shared_ptr<BufferPool> pool_;
   AtomicIoStats* const io_stats_;
   const ReadOptions options_;
-  obs::Histogram* const next_us_;  // per-step latency sink (may be null)
+  const QueryMetrics query_metrics_;  // per-query sinks (either may be null)
   const uint64_t visible_seq_;  // read sequence: snapshot or "latest"
 
   std::vector<Source> sources_;
@@ -477,7 +483,7 @@ class SnapshotCursor final : public Cursor {
   uint64_t delivered_ = 0;
   uint64_t pages_touched_ = 0;
   uint64_t bytes_fetched_ = 0;  // on-disk bytes, the max_bytes unit
-  uint64_t pending_entries_read_ = 0;
+  uint64_t pending_entries_read_ = 0;  // credited when the cursor stops
   uint64_t pending_filter_skips_ = 0;
   uint64_t skipped_ = 0;  // bloom + zone-map page fetches avoided
   Status status_;
@@ -628,11 +634,11 @@ std::unique_ptr<Cursor> NewSnapshotCursor(
     const Box* query_box, std::vector<Entry> memtable_entries,
     SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
     AtomicIoStats* io_stats, const ReadOptions& options,
-    obs::Histogram* next_latency_us) {
+    const QueryMetrics& query_metrics) {
   return std::make_unique<SnapshotCursor>(
       curve, std::move(ranges), query_box, std::move(memtable_entries),
       std::move(segments), std::move(pool), io_stats, options,
-      next_latency_us);
+      query_metrics);
 }
 
 }  // namespace storage

@@ -163,6 +163,16 @@ struct SegmentSnapshot {
   std::vector<std::vector<std::shared_ptr<SegmentReader>>> levels;
 };
 
+/// Per-query histograms a snapshot cursor records into once, when it is
+/// destroyed (either may be null): the table's query.ranges and
+/// query.pages.
+struct QueryMetrics {
+  /// Key ranges the query decomposed into — the clustering number.
+  obs::Histogram* ranges = nullptr;
+  /// Pages the cursor fetched through the pool (resident or not).
+  obs::Histogram* pages = nullptr;
+};
+
 /// Streaming k-way-merge cursor over one query's decomposed key ranges:
 /// for each range (in order) it lazily merges the memtable hits with every
 /// overlapping L0 run and at most one contiguous group of segments per
@@ -179,15 +189,17 @@ struct SegmentSnapshot {
 /// hold no key of any range. Point ranges (lo == hi) additionally probe
 /// each candidate segment's bloom filter through the pool before touching
 /// any page.
-/// `next_latency_us` (may be null) receives the duration of every
-/// positioning step — the initial seek and each Next() — in microseconds,
-/// feeding the table's cursor.next_us histogram.
+///
+/// Segment entries delivered are credited to `io_stats` and the pool's
+/// `entries_read` in one batch when the cursor stops being valid (or, for
+/// a cursor abandoned early, when it is destroyed) — no per-entry atomics.
+/// `query_metrics` receives one sample per cursor, at destruction.
 std::unique_ptr<Cursor> NewSnapshotCursor(
     const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
     const Box* query_box, std::vector<Entry> memtable_entries,
     SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
     AtomicIoStats* io_stats, const ReadOptions& options,
-    obs::Histogram* next_latency_us = nullptr);
+    const QueryMetrics& query_metrics);
 
 class SfcTable;
 

@@ -99,7 +99,8 @@ SfcTable::SfcTable(std::string dir, std::unique_ptr<SpaceFillingCurve> curve,
   m_.write_commit_us = metrics_->histogram("write.commit_us");
   m_.flush_us = metrics_->histogram("flush.us");
   m_.compaction_us = metrics_->histogram("compaction.us");
-  m_.cursor_next_us = metrics_->histogram("cursor.next_us");
+  m_.query_ranges = metrics_->histogram("query.ranges");
+  m_.query_pages = metrics_->histogram("query.pages");
   m_.flush_bytes = metrics_->counter("flush.bytes");
   m_.flush_entries = metrics_->counter("flush.entries");
   m_.flush_count = metrics_->counter("flush.count");
@@ -1432,7 +1433,8 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
             });
   return NewSnapshotCursor(curve_.get(), std::move(ranges), query_box,
                            std::move(mem_hits), std::move(snapshot), pool_,
-                           &io_stats_, options, m_.cursor_next_us);
+                           &io_stats_, options,
+                           QueryMetrics{m_.query_ranges, m_.query_pages});
 }
 
 Result<std::vector<uint64_t>> SfcTable::Get(const Cell& cell,

@@ -468,7 +468,8 @@ class SfcTable {
     obs::Histogram* write_commit_us = nullptr;
     obs::Histogram* flush_us = nullptr;
     obs::Histogram* compaction_us = nullptr;
-    obs::Histogram* cursor_next_us = nullptr;
+    obs::Histogram* query_ranges = nullptr;
+    obs::Histogram* query_pages = nullptr;
     obs::Counter* flush_bytes = nullptr;
     obs::Counter* flush_entries = nullptr;
     obs::Counter* flush_count = nullptr;

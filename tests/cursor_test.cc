@@ -1,8 +1,8 @@
 // Streaming-cursor tests: box cursor vs a brute-force filter of the
 // inserted points on mixed memtable + L0 + deeper-level state, SfcTable vs SpatialIndex cursor
 // interchangeability, limit / page-budget early exit with page accounting,
-// snapshot isolation, and cursor-outlives-compaction safety (also run
-// under the CI TSan job).
+// exact per-query counts and batched entries_read, snapshot isolation, and
+// cursor-outlives-compaction safety (also run under the CI TSan job).
 
 #include <algorithm>
 #include <filesystem>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "index/decompose.h"
 #include "index/spatial_index.h"
 #include "sfc/registry.h"
 #include "storage/sfc_table.h"
@@ -285,6 +286,86 @@ TEST(CursorTest, HitReadBudgetDistinguishesTruncationFromExhaustion) {
         "index truncated");
   check(table.NewBoxCursor(box).get(), 5, false, "table unbounded");
   check(index.NewBoxCursor(box).get(), 5, false, "index unbounded");
+}
+
+TEST(CursorTest, PerQueryCountsAndBatchedEntriesReadAreExact) {
+  // The storage cursor keeps no per-entry bookkeeping: entries_read is
+  // credited in one batch when the cursor stops (or dies), and
+  // query.ranges / query.pages take one sample per cursor at destruction.
+  // Every shape of stop must lose nothing.
+  const Universe universe(2, 64);
+  const auto points = RandomPoints(universe, 4000, 241);
+  SfcTableOptions options;
+  options.entries_per_page = 16;
+  options.pool_pages = 8;
+  options.readahead_pages = 0;  // every counted page is one the cursor asked
+  options.memtable_flush_entries = 1000;
+  auto table_result =
+      SfcTable::Create(FreshDir("query_counts"), "hilbert", universe, options);
+  ASSERT_TRUE(table_result.ok());
+  auto& table = *table_result.value();
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(table.Insert(points[i], i).ok());
+  }
+  ASSERT_TRUE(table.Compact().ok());
+  ASSERT_EQ(table.memtable_entries(), 0u);  // every entry is a segment entry
+
+  const Box box(Cell(5, 7), Cell(50, 44));
+  const uint64_t num_ranges = DecomposeBox(table.curve(), box).size();
+  ASSERT_GT(num_ranges, 1u);
+  obs::Histogram* const ranges = table.metrics().histogram("query.ranges");
+  obs::Histogram* const pages = table.metrics().histogram("query.pages");
+
+  struct Shape {
+    const char* label;
+    ReadOptions options;
+    uint64_t abandon_after;  // 0: drain; otherwise entries seen, then drop
+  };
+  ReadOptions unbounded;
+  ReadOptions limited;
+  limited.limit = 8;
+  ReadOptions paged;
+  paged.max_pages = 3;
+  const Shape shapes[] = {{"drained", unbounded, 0},
+                          {"limit-stopped", limited, 0},
+                          {"max_pages-stopped", paged, 0},
+                          {"abandoned", unbounded, 5}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.label);
+    table.ResetStats();
+    const uint64_t ranges_count = ranges->count();
+    const uint64_t ranges_sum = ranges->sum();
+    const uint64_t pages_count = pages->count();
+    const uint64_t pages_sum = pages->sum();
+    uint64_t delivered = 0;
+    {
+      auto cursor = table.NewBoxCursor(box, shape.options);
+      if (shape.abandon_after == 0) {
+        delivered = DrainCursor(cursor.get()).size();
+        ASSERT_TRUE(cursor->status().ok());
+        EXPECT_EQ(cursor->hit_read_budget(),
+                  shape.options.limit != 0 || shape.options.max_pages != 0);
+        // Credited when the cursor stopped, while it is still alive.
+        EXPECT_EQ(table.io_stats().entries_read, delivered);
+      } else {
+        for (delivered = 1; delivered < shape.abandon_after; ++delivered) {
+          ASSERT_TRUE(cursor->Valid());
+          cursor->Next();
+        }
+        ASSERT_TRUE(cursor->Valid());  // dropped with entries still to come
+      }
+      EXPECT_GT(delivered, 0u);
+      EXPECT_EQ(ranges->count(), ranges_count);  // nothing while alive
+      EXPECT_EQ(pages->count(), pages_count);
+    }
+    const IoStats io = table.io_stats();
+    EXPECT_EQ(io.entries_read, delivered);
+    EXPECT_EQ(ranges->count(), ranges_count + 1);
+    EXPECT_EQ(ranges->sum() - ranges_sum, num_ranges);
+    EXPECT_EQ(pages->count(), pages_count + 1);
+    EXPECT_EQ(pages->sum() - pages_sum, io.page_reads + io.cache_hits);
+    EXPECT_GT(io.page_reads + io.cache_hits, 0u);
+  }
 }
 
 TEST(CursorTest, MaxBytesBudgetCountsOnDiskBytes) {

@@ -24,6 +24,7 @@
 #include "net/server.h"
 #include "storage/sfc_db.h"
 #include "storage/write_batch.h"
+#include "workloads/generators.h"
 
 namespace onion::net {
 namespace {
@@ -495,6 +496,63 @@ TEST(NetServerTest, CursorChunkingAndLifecycle) {
       StatusCode::kNotFound);
   EXPECT_TRUE(client.CursorClose(cursor.value()).ok());
   EXPECT_EQ(ts.db->metrics().gauge("net.cursors_open")->value(), 0);
+}
+
+TEST(NetServerTest, CursorChunksCarryEveryDimensionality) {
+  // The chunk encoder writes entries in place; a 3D table proves it sizes
+  // and writes every coordinate rather than assuming two. Each table is
+  // drained at a chunk size that leaves a partial last chunk and at the
+  // server's per-chunk ceiling (the request asks for more), and must match
+  // the in-process cursor entry for entry: cell, payload and seq.
+  SfcServerOptions server_options;
+  server_options.max_entries_per_chunk = 64;
+  auto ts = TestServer::Start(FreshDir("chunk_dims"), server_options);
+  storage::SfcTableOptions topts;
+  topts.memtable_flush_entries = 300;  // segments plus a live memtable
+  struct Case {
+    const char* table;
+    Universe universe;
+    Box box;
+  };
+  const Case cases[] = {
+      {"cube", Universe(3, 16), Box(Cell(2, 1, 3), Cell(13, 12, 14))},
+      {"plane", Universe(2, 64), Box(Cell(3, 5), Cell(50, 60))},
+  };
+  SfcClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server->port()).ok());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.table);
+    auto table = ts.db->CreateTable(c.table, "onion", c.universe, topts);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const auto points = RandomPoints(c.universe, 1000, 401);
+    for (size_t i = 0; i < points.size(); ++i) {
+      ASSERT_TRUE(table.value()->Insert(points[i], i).ok());
+    }
+    auto local_cursor = table.value()->NewBoxCursor(c.box);
+    const std::vector<SpatialEntry> local = DrainCursor(local_cursor.get());
+    ASSERT_TRUE(local_cursor->status().ok());
+    ASSERT_GT(local.size(), 2 * server_options.max_entries_per_chunk);
+    ASSERT_NE(local.size() % 7, 0u);
+    for (const uint32_t chunk : {7u, 1000u}) {
+      SCOPED_TRACE(chunk);
+      auto cursor = client.OpenBoxCursor(c.table, c.box);
+      ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+      std::vector<SpatialEntry> wire;
+      bool done = false;
+      while (!done) {
+        const size_t before = wire.size();
+        ASSERT_TRUE(client.CursorNext(cursor.value(), chunk, &wire, &done).ok());
+        ASSERT_LE(wire.size() - before,
+                  std::min(chunk, server_options.max_entries_per_chunk));
+      }
+      ASSERT_EQ(wire.size(), local.size());
+      for (size_t i = 0; i < wire.size(); ++i) {
+        EXPECT_EQ(wire[i].cell, local[i].cell) << i;
+        EXPECT_EQ(wire[i].payload, local[i].payload) << i;
+        EXPECT_EQ(wire[i].seq, local[i].seq) << i;
+      }
+    }
+  }
 }
 
 TEST(NetServerTest, SnapshotIsolationOverTheWire) {

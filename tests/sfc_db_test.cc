@@ -144,6 +144,10 @@ TEST(SfcDbTest, SharedPoolKeepsPerTableIoStatsIsolated) {
   const IoStats cold_io = cold.value()->io_stats();
   EXPECT_GT(hot_io.page_reads + hot_io.cache_hits, 0u);
   EXPECT_GT(hot_io.entries_read, 0u);
+  // entries_read is credited in one batch when the cursor stops, so the
+  // drained cursor (still alive here) has already counted every result —
+  // all from segments after the Flush above.
+  EXPECT_EQ(hot_io.entries_read, results.size());
   EXPECT_EQ(cold_io.page_reads, 0u);
   EXPECT_EQ(cold_io.cache_hits, 0u);
   EXPECT_EQ(cold_io.entries_read, 0u);
@@ -487,9 +491,9 @@ TEST(SfcDbTest, DbSnapshotIsConsistentAcrossTables) {
 TEST(SfcDbTest, MetricsPopulateAndStayMonotonicAcrossWorkload) {
   // The observability acceptance bar: after a write/flush/compact/read
   // workload on a wal_fsync table, every headline histogram (WAL append
-  // AND fsync, flush, compaction, cursor steps) has non-zero counts, the
-  // event counters only ever grow, and both DumpMetrics formats carry the
-  // numbers.
+  // AND fsync, flush, compaction, per-query ranges and pages) has non-zero
+  // counts, the event counters only ever grow, and both DumpMetrics formats
+  // carry the numbers.
   auto db_result = SfcDb::Open(FreshDir("metrics"));
   ASSERT_TRUE(db_result.ok());
   auto& db = *db_result.value();
@@ -518,10 +522,11 @@ TEST(SfcDbTest, MetricsPopulateAndStayMonotonicAcrossWorkload) {
             0u);
   auto cursor = table.NewBoxCursor(Box(Cell(0, 0), Cell(63, 63)));
   EXPECT_EQ(DrainCursor(cursor.get()).size(), points.size());
+  cursor.reset();  // the per-query histograms record at cursor destruction
 
   // Every headline histogram recorded real events.
   for (const char* name : {"wal.append_us", "wal.fsync_us", "flush.us",
-                           "compaction.us", "cursor.next_us",
+                           "compaction.us", "query.ranges", "query.pages",
                            "memtable.insert_us", "write.commit_us"}) {
     EXPECT_GT(table.metrics().histogram(name)->count(), 0u) << name;
   }
@@ -536,9 +541,9 @@ TEST(SfcDbTest, MetricsPopulateAndStayMonotonicAcrossWorkload) {
   // structurally in obs_test.cc; here we pin the engine wiring).
   const std::string json = db.DumpMetrics();
   for (const char* key : {"\"wal.fsync_us\"", "\"flush.us\"",
-                          "\"compaction.us\"", "\"cursor.next_us\"",
-                          "\"db.batch_commit_us\"", "\"pool\"",
-                          "\"hit_ratio\""}) {
+                          "\"compaction.us\"", "\"query.ranges\"",
+                          "\"query.pages\"", "\"db.batch_commit_us\"",
+                          "\"pool\"", "\"hit_ratio\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   const std::string prom = db.DumpMetrics(obs::MetricsFormat::kPrometheus);
