@@ -34,7 +34,7 @@ for symbol in SfcDb SfcTable Cursor ReadOptions NewBoxCursor NewScanCursor \
               Delete last_sequence Corruption CRC32C \
               SecondaryIndexSpec IndexExtractor CreateIndex DropIndex \
               ListIndexes IndexTable NewIndexCursor IndexReadOptions \
-              AdviseCurve CurveAdvice MigrateIndexCurve; do
+              AdviseCurve CurveAdvice MigrateIndexCurve NewResolveCursor; do
   if ! grep -q "$symbol" docs/api.md; then
     echo "UNDOCUMENTED API: $symbol (document it in docs/api.md)"
     fail=1

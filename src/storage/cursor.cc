@@ -100,7 +100,7 @@ namespace {
 /// read sequence (ReadOptions::snapshot) are dropped, and the surviving
 /// puts are those newer than the newest visible tombstone of the key —
 /// Delete hides every older version, a later Put resurrects the key.
-class SnapshotCursor final : public Cursor {
+class SnapshotCursor final : public KeyedCursor {
  public:
   SnapshotCursor(const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
                  const Box* query_box, std::vector<Entry> memtable_entries,
@@ -154,6 +154,11 @@ class SnapshotCursor final : public Cursor {
   const SpatialEntry& entry() const override {
     ONION_CHECK_MSG(valid_, "entry() on an invalid cursor");
     return current_;
+  }
+
+  Key key() const override {
+    ONION_CHECK_MSG(valid_, "key() on an invalid cursor");
+    return current_key_;
   }
 
   Status status() const override { return status_; }
@@ -445,8 +450,10 @@ class SnapshotCursor final : public Cursor {
           return;
         }
         const GroupEntry& e = group_[group_pos_++];
-        current_ = SpatialEntry{curve_->CellAt(e.entry.key), e.entry.payload,
-                                SequenceOf(e.entry.seq)};
+        current_key_ = e.entry.key;
+        if (curve_ != nullptr) current_.cell = curve_->CellAt(current_key_);
+        current_.payload = e.entry.payload;
+        current_.seq = SequenceOf(e.entry.seq);
         ++delivered_;
         if (!e.from_mem) ++pending_entries_read_;
         valid_ = true;
@@ -460,7 +467,7 @@ class SnapshotCursor final : public Cursor {
     }
   }
 
-  const SpaceFillingCurve* const curve_;
+  const SpaceFillingCurve* const curve_;  // null: keys only, no cells
   const std::vector<KeyRange> ranges_;
   const bool has_box_;  // zone-map skipping needs the originating box
   const Box box_;
@@ -478,6 +485,7 @@ class SnapshotCursor final : public Cursor {
   size_t group_pos_ = 0;
   size_t range_idx_ = 0;
   SpatialEntry current_{};
+  Key current_key_ = 0;
   bool valid_ = false;
   bool budget_hit_ = false;
   uint64_t delivered_ = 0;
@@ -490,9 +498,10 @@ class SnapshotCursor final : public Cursor {
 };
 
 /// See NewIndexResolveCursor in cursor.h. The inner cursor walks the
-/// hidden index table in index-key order; this cursor consumes one index
-/// cell group at a time, resolves it to the base cell with a snapshot
-/// point Get, and streams the base cell's payload multiset.
+/// hidden index table in index-key order; this cursor pulls a chunk of
+/// distinct index cells from it, reads their base rows with one walk over
+/// the chunk's sorted, coalesced base keys, and streams each cell's rows in
+/// the order the cells were pulled.
 class IndexResolveCursor final : public Cursor {
  public:
   IndexResolveCursor(std::unique_ptr<Cursor> index_cursor, SfcTable* base,
@@ -506,21 +515,14 @@ class IndexResolveCursor final : public Cursor {
         limit_(limit),
         dangling_(dangling),
         resolved_(resolved) {
-    FetchGroup();
-    CheckLimit();
+    Advance();
   }
 
-  bool Valid() const override { return pos_ < payloads_.size(); }
+  bool Valid() const override { return valid_; }
 
   void Next() override {
     ONION_CHECK(Valid());
-    ++pos_;
-    if (pos_ < payloads_.size()) {
-      current_.payload = payloads_[pos_];
-    } else {
-      FetchGroup();
-    }
-    CheckLimit();
+    Advance();
   }
 
   const SpatialEntry& entry() const override {
@@ -541,62 +543,133 @@ class IndexResolveCursor final : public Cursor {
   }
 
  private:
-  /// Advances `inner_` to the next distinct index cell, resolves it, and
-  /// loads the base cell's visible payloads (or invalidates on
-  /// exhaustion/error). Dangling index cells — base row gone — are
-  /// counted and skipped.
-  void FetchGroup() {
-    payloads_.clear();
-    pos_ = 0;
-    while (status_.ok() && inner_->Valid()) {
-      const SpatialEntry index_entry = inner_->entry();  // copied: Next()
-      inner_->Next();                                    // invalidates it
-      if (have_group_ && index_entry.cell == group_cell_) continue;
-      group_cell_ = index_entry.cell;
-      have_group_ = true;
-      const Key base_key = index_entry.payload;
-      if (base_key >= base_->curve().num_cells()) {
-        status_ = Status::Corruption(
-            "index entry resolves outside the base universe (key " +
-            std::to_string(base_key) + ")");
-        return;
+  /// The rows of one cell of the chunk: payloads_[begin, end), empty
+  /// when its base row is gone.
+  struct Rows {
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
+  /// Exposes the next base row: the rest of the current cell's payloads,
+  /// else the next resolved cell of the chunk, else the next chunk.
+  /// Dangling cells are counted and skipped. Ends the cursor on
+  /// exhaustion, error, or at the limit (a ready row is then withheld and
+  /// reported as a hit budget).
+  void Advance() {
+    valid_ = false;
+    while (row_ == row_end_) {
+      if (next_cell_ == keys_.size()) {
+        if (!LoadChunk()) return;
+        continue;
       }
-      const Cell base_cell = base_->curve().CellAt(base_key);
-      ReadOptions base_options;
-      base_options.snapshot = base_snapshot_;
-      auto rows = base_->Get(base_cell, base_options);
-      if (!rows.ok()) {
-        status_ = rows.status();
-        return;
-      }
-      if (rows.value().empty()) {
+      const size_t cell = next_cell_++;
+      const Rows& rows = rows_[cell];
+      if (rows.begin == rows.end) {
         if (dangling_ != nullptr) dangling_->Increment();
         continue;
       }
-      payloads_ = std::move(rows).value();
-      std::sort(payloads_.begin(), payloads_.end());
-      if (resolved_ != nullptr) resolved_->Add(payloads_.size());
-      current_.cell = base_cell;
-      current_.payload = payloads_[0];
-      current_.seq = 0;
+      row_ = rows.begin;
+      row_end_ = rows.end;
+      current_.cell = base_->curve().CellAt(keys_[cell]);
+      if (resolved_ != nullptr) resolved_->Add(row_end_ - row_);
+    }
+    if (limit_ != 0 && delivered_ >= limit_) {
+      budget_hit_ = true;
       return;
     }
+    current_.payload = payloads_[row_++];
+    ++delivered_;
+    valid_ = true;
   }
 
-  /// Counts the entry about to be exposed against `limit_`; at the cap a
-  /// ready entry is withheld and reported as a hit budget instead.
-  void CheckLimit() {
-    if (!Valid() || limit_ == 0) {
-      if (Valid()) ++delivered_;
-      return;
+  /// Pulls the next chunk of distinct index cells into keys_ (their base
+  /// keys, in index order) and resolves it. A limited cursor pulls no more
+  /// cells than it can still deliver — at the limit, one, to learn whether
+  /// a row was withheld. Returns false when nothing was resolved: the
+  /// inner cursor is exhausted or failed, or the walk or the next index
+  /// entry failed (status_ says which).
+  bool LoadChunk() {
+    keys_.clear();
+    next_cell_ = 0;
+    const uint64_t want =
+        limit_ == 0 ? kIndexResolveChunkCells
+                    : std::clamp<uint64_t>(limit_ - delivered_, 1,
+                                           kIndexResolveChunkCells);
+    const Key num_cells = base_->curve().num_cells();
+    while (keys_.size() < want && inner_->Valid()) {
+      const SpatialEntry& index_entry = inner_->entry();
+      if (!have_group_ || index_entry.cell != group_cell_) {
+        if (index_entry.payload >= num_cells) {
+          // The cells before it are delivered first: the entry stays
+          // current, so it is the first one the next chunk reads.
+          if (keys_.empty()) {
+            status_ = Status::Corruption(
+                "index entry resolves outside the base universe (key " +
+                std::to_string(index_entry.payload) + ")");
+          }
+          break;
+        }
+        group_cell_ = index_entry.cell;
+        have_group_ = true;
+        keys_.push_back(index_entry.payload);
+      }
+      inner_->Next();  // invalidates index_entry
     }
-    if (delivered_ >= limit_) {
-      budget_hit_ = true;
-      payloads_.clear();
-      pos_ = 0;
-      return;
+    return !keys_.empty() && Resolve();
+  }
+
+  /// Reads the base rows of keys_ with one walk at the pinned snapshot
+  /// and files them per cell in rows_. Neighbouring keys share a range
+  /// when fewer keys than a page holds entries lie between them: with one
+  /// entry per key no whole page fits in such a gap, so the walk reads no
+  /// page that point reads of the keys would not, and a run of nearby rows
+  /// costs one seek. Rows of the gap keys are dropped.
+  bool Resolve() {
+    sorted_.clear();
+    for (size_t i = 0; i < keys_.size(); ++i) sorted_.emplace_back(keys_[i], i);
+    std::sort(sorted_.begin(), sorted_.end());
+    const Key max_step = base_->entries_per_page();
+    std::vector<KeyRange> ranges;
+    for (const auto& [key, cell] : sorted_) {
+      if (!ranges.empty() && key - ranges.back().hi <= max_step) {
+        ranges.back().hi = key;
+      } else {
+        ranges.push_back(KeyRange{key, key});
+      }
     }
-    ++delivered_;
+    ReadOptions walk_options;
+    walk_options.snapshot = base_snapshot_;
+    auto walk = base_->NewResolveCursor(std::move(ranges), walk_options);
+    if (!walk.ok()) {
+      status_ = walk.status();
+      return false;
+    }
+    KeyedCursor& cursor = *walk.value();
+    rows_.assign(keys_.size(), Rows{});
+    payloads_.clear();
+    // The walk ascends and ends at the largest key of the chunk, so `next`
+    // never runs off the end.
+    auto next = sorted_.begin();
+    for (; cursor.Valid(); cursor.Next()) {
+      const Key key = cursor.key();
+      while (next->first < key) ++next;
+      if (next->first != key) continue;  // a gap key's row
+      Rows& rows = rows_[next->second];
+      if (rows.begin == rows.end) rows.begin = payloads_.size();  // 1st row
+      payloads_.push_back(cursor.entry().payload);
+      rows.end = payloads_.size();
+    }
+    if (!cursor.status().ok()) {
+      status_ = cursor.status();
+      return false;
+    }
+    // Two cells sharing a base key (a corrupt index) both get its rows.
+    for (size_t i = 1; i < sorted_.size(); ++i) {
+      if (sorted_[i].first == sorted_[i - 1].first) {
+        rows_[sorted_[i].second] = rows_[sorted_[i - 1].second];
+      }
+    }
+    return true;
   }
 
   const std::unique_ptr<Cursor> inner_;
@@ -607,11 +680,17 @@ class IndexResolveCursor final : public Cursor {
   obs::Counter* const dangling_;
   obs::Counter* const resolved_;
 
-  std::vector<uint64_t> payloads_;  // visible base rows of the group
-  size_t pos_ = 0;
+  std::vector<Key> keys_;  // base keys of the chunk's cells, index order
+  std::vector<std::pair<Key, size_t>> sorted_;  // (key, cell), ascending
+  std::vector<Rows> rows_;          // per cell of keys_
+  std::vector<uint64_t> payloads_;  // the chunk's rows, grouped by key
+  size_t next_cell_ = 0;            // next cell of keys_ to emit
+  size_t row_ = 0;                  // next payload of the current cell
+  size_t row_end_ = 0;
   Cell group_cell_{};
   bool have_group_ = false;
   SpatialEntry current_{};
+  bool valid_ = false;
   uint64_t delivered_ = 0;
   bool budget_hit_ = false;
   Status status_;
@@ -629,7 +708,7 @@ std::unique_ptr<Cursor> NewIndexResolveCursor(
       limit, dangling_entries, resolved_rows);
 }
 
-std::unique_ptr<Cursor> NewSnapshotCursor(
+std::unique_ptr<KeyedCursor> NewSnapshotCursor(
     const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
     const Box* query_box, std::vector<Entry> memtable_entries,
     SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,

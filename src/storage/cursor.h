@@ -37,6 +37,7 @@
 #ifndef ONION_STORAGE_CURSOR_H_
 #define ONION_STORAGE_CURSOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -173,6 +174,14 @@ struct QueryMetrics {
   obs::Histogram* pages = nullptr;
 };
 
+/// A storage cursor that also reports the curve key of its current entry,
+/// so a caller that matches entries on keys needs no cell-to-key mapping.
+class KeyedCursor : public Cursor {
+ public:
+  /// The current entry's curve key. Requires Valid().
+  virtual Key key() const = 0;
+};
+
 /// Streaming k-way-merge cursor over one query's decomposed key ranges:
 /// for each range (in order) it lazily merges the memtable hits with every
 /// overlapping L0 run and at most one contiguous group of segments per
@@ -180,7 +189,8 @@ struct QueryMetrics {
 /// attributing the I/O to `io_stats` (may be null). `memtable_entries`
 /// are the snapshot-time matches from the active + pending memtables,
 /// sorted by (key, payload). `curve` maps keys back to cells and must
-/// outlive the cursor.
+/// outlive the cursor; with a null `curve` entry().cell stays empty and
+/// no key is mapped, for callers that only read key() and payloads.
 ///
 /// `query_box` (may be null) is the spatial box the ranges decompose —
 /// when given, it must be the EXACT decomposition source (every key in
@@ -194,7 +204,7 @@ struct QueryMetrics {
 /// `entries_read` in one batch when the cursor stops being valid (or, for
 /// a cursor abandoned early, when it is destroyed) — no per-entry atomics.
 /// `query_metrics` receives one sample per cursor, at destruction.
-std::unique_ptr<Cursor> NewSnapshotCursor(
+std::unique_ptr<KeyedCursor> NewSnapshotCursor(
     const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
     const Box* query_box, std::vector<Entry> memtable_entries,
     SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
@@ -203,26 +213,39 @@ std::unique_ptr<Cursor> NewSnapshotCursor(
 
 class SfcTable;
 
+/// Distinct index cells one base walk of NewIndexResolveCursor resolves:
+/// a typical index box resolves in one walk, and the rows a chunk buffers
+/// stay bounded.
+constexpr size_t kIndexResolveChunkCells = 1024;
+
 /// The resolution half of a secondary-index query (SfcDb::NewIndexCursor's
 /// engine): wraps a cursor over the hidden index table — whose entries
 /// carry the BASE table's curve key as payload — and emits the base rows.
 /// Each distinct index cell is resolved once (maintenance writes one index
 /// entry per base put, so an index cell holds one entry per live base
-/// version — injective extractors make them all identical) via a
-/// point Get on `base_table` at `base_snapshot`, and every payload stored
-/// at the base cell is emitted (ascending per cell), in nondecreasing
-/// INDEX-curve-key order overall. Emitted entries carry seq 0 — the point
-/// Get returns the visible payload multiset, not per-version stamps.
+/// version — injective extractors make them all identical). Cells are
+/// resolved a chunk at a time: the chunk's base keys are sorted and
+/// coalesced into key ranges, and ONE walk of `base_table` at
+/// `base_snapshot` (SfcTable::NewResolveCursor) reads them all — a run of
+/// nearby rows costs one seek, as in a box query, not one point lookup
+/// each. Every payload stored at a base cell is emitted (ascending per
+/// cell), in nondecreasing INDEX-curve-key order overall. Emitted entries
+/// carry seq 0: resolution yields the visible payload multiset, not
+/// per-version stamps. The walk is not a base-table query — it records
+/// nothing into the base's read_stats() or query.* histograms; its page
+/// I/O still counts in the base's io_stats().
 ///
 /// An index entry whose base row no longer exists (possible only when
 /// writes bypassed SfcDb::Write) is skipped and counted in
 /// `dangling_entries`; `resolved_rows` counts emitted base rows (both
 /// counters may be null). A base key outside the base universe is
-/// Corruption. `limit` caps emitted entries (hit_read_budget() == true
-/// when it stops iteration early); the inner cursor's own page/byte
-/// budgets and status propagate. `pin` (type-erased, may be null) keeps
-/// the snapshot that `base_snapshot` points into alive for the cursor's
-/// lifetime. The cursor must not outlive `base_table`.
+/// Corruption, reported after the rows of the cells before it. `limit`
+/// caps emitted entries (hit_read_budget() == true when it stops iteration
+/// early), and a limited cursor pulls no more index cells than it can
+/// still deliver; the inner cursor's own page/byte budgets and status
+/// propagate. `pin` (type-erased, may be null) keeps the snapshot that
+/// `base_snapshot` points into alive for the cursor's lifetime. The cursor
+/// must not outlive `base_table`.
 std::unique_ptr<Cursor> NewIndexResolveCursor(
     std::unique_ptr<Cursor> index_cursor, SfcTable* base_table,
     const Snapshot* base_snapshot, std::shared_ptr<const void> pin,

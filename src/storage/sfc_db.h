@@ -135,7 +135,8 @@ struct IndexReadOptions {
   /// Stop after this many BASE rows have been delivered.
   uint64_t limit = 0;
   /// Page/byte budgets applied to the index-table scan (the base-row
-  /// point Gets are not budgeted — each touches O(1) pages).
+  /// walks are not budgeted: with one entry per key they read no page
+  /// that point reads of the rows would not).
   uint64_t max_pages = 0;
   uint64_t max_bytes = 0;
   /// Read index and base at this consistent cross-table pin. Null pins a

@@ -1354,25 +1354,39 @@ std::unique_ptr<Cursor> SfcTable::NewBoxCursor(const Box& box,
   // DecomposeBox is exact (every key of every range maps into the box),
   // which is the precondition for handing the box to the cursor as a
   // zone-map filter.
-  return NewRangesCursor(DecomposeBox(*curve_, box), &box, options);
+  return NewQueryCursor(DecomposeBox(*curve_, box), &box, options);
 }
 
 std::unique_ptr<Cursor> SfcTable::NewScanCursor(const ReadOptions& options) {
   const Key num_cells = curve_->universe().num_cells();
   std::vector<KeyRange> ranges;
   if (num_cells > 0) ranges.push_back(KeyRange{0, num_cells - 1});
-  return NewRangesCursor(std::move(ranges), nullptr, options);
+  return NewQueryCursor(std::move(ranges), nullptr, options);
 }
 
-std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
-                                                  const Box* query_box,
-                                                  const ReadOptions& options) {
+std::unique_ptr<Cursor> SfcTable::NewQueryCursor(std::vector<KeyRange> ranges,
+                                                 const Box* query_box,
+                                                 const ReadOptions& options) {
   {
     const MutexLock stats_lock(stats_mu_);
     ++read_stats_.queries;
     read_stats_.ranges += ranges.size();
   }
+  auto cursor =
+      NewRangesCursor(std::move(ranges), query_box, options, /*query=*/true);
+  if (!cursor.ok()) return NewErrorCursor(cursor.status());
+  return std::move(cursor).value();
+}
 
+Result<std::unique_ptr<KeyedCursor>> SfcTable::NewResolveCursor(
+    std::vector<KeyRange> ranges, const ReadOptions& options) {
+  return NewRangesCursor(std::move(ranges), nullptr, options,
+                         /*query=*/false);
+}
+
+Result<std::unique_ptr<KeyedCursor>> SfcTable::NewRangesCursor(
+    std::vector<KeyRange> ranges, const Box* query_box,
+    const ReadOptions& options, bool query) {
   // Reads above the snapshot sequence are dropped at collection time
   // (cheaper than filtering in the merge); tombstones at or below it are
   // kept — the cursor needs them to hide older segment entries.
@@ -1383,7 +1397,7 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
   SegmentSnapshot snapshot;
   {
     const ReaderLock lock(mu_);
-    if (!background_error_.ok()) return NewErrorCursor(background_error_);
+    if (!background_error_.ok()) return background_error_;
     // One pass over each memtable for the whole query (not one per range):
     // the ranges are sorted and disjoint, so membership is a binary search.
     if (!ranges.empty()) {
@@ -1422,7 +1436,7 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
   }
   // Everything below runs WITHOUT the table lock: the cursor owns the
   // snapshot and later flushes/compactions cannot disturb it.
-  if (!mem_hits.empty()) {
+  if (query && !mem_hits.empty()) {
     const MutexLock stats_lock(stats_mu_);
     read_stats_.memtable_entries += mem_hits.size();
   }
@@ -1431,10 +1445,10 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
               if (a.key != b.key) return a.key < b.key;
               return a.payload < b.payload;
             });
-  return NewSnapshotCursor(curve_.get(), std::move(ranges), query_box,
-                           std::move(mem_hits), std::move(snapshot), pool_,
-                           &io_stats_, options,
-                           QueryMetrics{m_.query_ranges, m_.query_pages});
+  return NewSnapshotCursor(
+      query ? curve_.get() : nullptr, std::move(ranges), query_box,
+      std::move(mem_hits), std::move(snapshot), pool_, &io_stats_, options,
+      query ? QueryMetrics{m_.query_ranges, m_.query_pages} : QueryMetrics{});
 }
 
 Result<std::vector<uint64_t>> SfcTable::Get(const Cell& cell,
@@ -1444,7 +1458,7 @@ Result<std::vector<uint64_t>> SfcTable::Get(const Cell& cell,
                               cell.ToString());
   }
   const Key key = curve_->IndexOf(cell);
-  const auto cursor = NewRangesCursor({KeyRange{key, key}}, nullptr, options);
+  const auto cursor = NewQueryCursor({KeyRange{key, key}}, nullptr, options);
   std::vector<uint64_t> payloads;
   for (; cursor->Valid(); cursor->Next()) {
     payloads.push_back(cursor->entry().payload);

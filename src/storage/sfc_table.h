@@ -266,6 +266,20 @@ class SfcTable {
     return Get(cell, ReadOptions{});
   }
 
+  /// The base-row walk of a secondary-index query
+  /// (storage/cursor.h NewIndexResolveCursor): streams every entry visible
+  /// at `options.snapshot` whose key lies in `ranges` (sorted, disjoint),
+  /// in key order with ascending payloads per key. The cursor reports
+  /// key(); entry().cell stays empty. It is not a query: nothing is
+  /// recorded into read_stats() or the query.* histograms, while its page
+  /// I/O still counts in io_stats(). Fails with the table's background
+  /// error, if any. The cursor must not outlive this table.
+  Result<std::unique_ptr<KeyedCursor>> NewResolveCursor(
+      std::vector<KeyRange> ranges, const ReadOptions& options);
+
+  /// Entries per page of the segments this table writes.
+  uint32_t entries_per_page() const { return options_.entries_per_page; }
+
   /// Clean shutdown: Flush() barrier, then stops the table's background
   /// processing and marks the table closed — further Insert/Compact calls
   /// fail with InvalidArgument while reads (cursors, Get) remain
@@ -405,13 +419,20 @@ class SfcTable {
   bool RunBackgroundWork() ONION_EXCLUDES(mu_);
   void NotifyWorkerLocked() ONION_REQUIRES(mu_);
 
-  /// Shared cursor factory: counts the query, snapshots memtables and
-  /// segments, and hands off to the streaming merge cursor. `query_box`
-  /// (may be null) is the exact box the ranges decompose — it enables
-  /// zone-map page skipping in the cursor.
-  std::unique_ptr<Cursor> NewRangesCursor(std::vector<KeyRange> ranges,
-                                          const Box* query_box,
-                                          const ReadOptions& options);
+  /// The cursor of one query (box, scan or point Get): counts it in
+  /// read_stats() and query.*, and returns any error as an error cursor.
+  /// `query_box` (may be null) is the exact box the ranges decompose — it
+  /// enables zone-map page skipping in the cursor.
+  std::unique_ptr<Cursor> NewQueryCursor(std::vector<KeyRange> ranges,
+                                         const Box* query_box,
+                                         const ReadOptions& options);
+  /// Shared cursor factory: snapshots memtables and segments and hands off
+  /// to the streaming merge cursor. A `query` cursor maps keys to cells
+  /// and records query.* and the memtable share of read_stats(); a
+  /// resolution walk (NewResolveCursor) does neither.
+  Result<std::unique_ptr<KeyedCursor>> NewRangesCursor(
+      std::vector<KeyRange> ranges, const Box* query_box,
+      const ReadOptions& options, bool query);
   /// Segment-writer knobs derived from the table options (page size,
   /// filter budget, zone-map curve); used by flush and every compaction path.
   SegmentWriterOptions WriterOptions() const;

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "index/decompose.h"
 #include "storage/index_spec.h"
 #include "storage/sfc_db.h"
 
@@ -36,8 +37,9 @@ std::string FreshDir(const std::string& name) {
 using Row = std::pair<Key, uint64_t>;
 
 /// Drains an index cursor into sorted rows, additionally asserting the
-/// delivery order is nondecreasing in the INDEX curve key (the documented
-/// contract of NewIndexCursor).
+/// delivery order is nondecreasing in the INDEX curve key, with ascending
+/// payloads per cell, and seq 0 (the documented contract of
+/// NewIndexCursor).
 std::vector<Row> DrainIndexCursor(Cursor* cursor, const SfcTable& base,
                                   const SfcTable& index,
                                   const IndexExtractor& extractor) {
@@ -48,10 +50,17 @@ std::vector<Row> DrainIndexCursor(Cursor* cursor, const SfcTable& base,
     const SpatialEntry& e = cursor->entry();
     const Cell index_cell = extractor.map(e.cell, base.curve().universe());
     const Key index_key = index.curve().IndexOf(index_cell);
-    if (have_prev) EXPECT_GE(index_key, prev_key);
+    const Key base_key = base.curve().IndexOf(e.cell);
+    if (have_prev) {
+      EXPECT_GE(index_key, prev_key);
+      if (base_key == rows.back().first) {
+        EXPECT_GE(e.payload, rows.back().second);
+      }
+    }
+    EXPECT_EQ(e.seq, 0u);
     prev_key = index_key;
     have_prev = true;
-    rows.emplace_back(base.curve().IndexOf(e.cell), e.payload);
+    rows.emplace_back(base_key, e.payload);
   }
   EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
   std::sort(rows.begin(), rows.end());
@@ -619,6 +628,387 @@ TEST(SecondaryIndexTest, ConcurrentWritesAndIndexReads) {
   ExpectIndexMatchesBruteForce(db, "t", "ix", "swap_xy",
                                Box(Cell(0, 0), Cell(kSide - 1, kSide - 1)));
   ASSERT_TRUE(db.Close().ok());
+}
+
+
+// --- Chunked index resolution (NewIndexResolveCursor): the base rows of a
+// chunk of index cells are read by one walk of the base table.
+
+/// Writes one row per cell of a side x side table (payload x * side + y),
+/// and a second row (payload 1000000 + x * side + y) on every cell with
+/// y >= `second_from_y`.
+void FillGrid(SfcDb& db, const std::string& table, Coord side,
+              Coord second_from_y) {
+  for (Coord x = 0; x < side; ++x) {
+    WriteBatch batch;
+    for (Coord y = 0; y < side; ++y) {
+      const uint64_t id = static_cast<uint64_t>(x) * side + y;
+      batch.Put(table, Cell(x, y), id);
+      if (y >= second_from_y) batch.Put(table, Cell(x, y), 1000000 + id);
+    }
+    ASSERT_TRUE(db.Write(std::move(batch)).ok());
+  }
+}
+
+TEST(SecondaryIndexTest, ResolutionRecordsNoBaseQuerySamples) {
+  const Coord kSide = 64;
+  auto db_result = SfcDb::Open(FreshDir("no_base_query_samples"));
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto& db = *db_result.value();
+  ASSERT_TRUE(db.CreateTable("t", "onion", Universe(2, kSide)).ok());
+  ASSERT_TRUE(db.CreateIndex("t", {"ix", "cell", "hilbert"}).ok());
+  FillGrid(db, "t", kSide, kSide);
+  auto base = db.OpenTable("t");
+  auto index_table = db.IndexTable("t", "ix");
+  ASSERT_TRUE(base.ok() && index_table.ok());
+  ASSERT_TRUE(base.value()->Flush().ok());
+  ASSERT_TRUE(index_table.value()->Flush().ok());
+
+  obs::Histogram* ranges = base.value()->metrics().histogram("query.ranges");
+  obs::Histogram* pages = base.value()->metrics().histogram("query.pages");
+  obs::Histogram* index_ranges =
+      index_table.value()->metrics().histogram("query.ranges");
+  const Box box(Cell(40, 8), Cell(55, 23));  // side 16: 256 rows
+  const size_t clusters = DecomposeBox(base.value()->curve(), box).size();
+  ASSERT_EQ(clusters, 16u);
+
+  const uint64_t ranges_before = ranges->count();
+  const uint64_t ranges_sum_before = ranges->sum();
+  const uint64_t pages_before = pages->count();
+  const uint64_t queries_before = base.value()->read_stats().queries;
+  const uint64_t index_ranges_before = index_ranges->count();
+  {
+    auto cursor = db.NewIndexCursor("t", "ix", box);
+    EXPECT_EQ(DrainCursor(cursor.get()).size(), 256u);
+    EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
+  }
+  // Resolving 256 rows is no base query; scanning the index is one query
+  // of the index table.
+  EXPECT_EQ(ranges->count(), ranges_before);
+  EXPECT_EQ(pages->count(), pages_before);
+  EXPECT_EQ(base.value()->read_stats().queries, queries_before);
+  EXPECT_EQ(index_ranges->count(), index_ranges_before + 1);
+
+  {
+    auto cursor = base.value()->NewBoxCursor(box);
+    EXPECT_EQ(DrainCursor(cursor.get()).size(), 256u);
+  }
+  EXPECT_EQ(ranges->count(), ranges_before + 1);
+  EXPECT_EQ(ranges->sum() - ranges_sum_before, clusters);
+  ASSERT_TRUE(db.Close().ok());
+}
+
+TEST(SecondaryIndexTest, ResolutionAcrossChunkBoundaries) {
+  const Coord kSide = 64;
+  const uint64_t kChunk = kIndexResolveChunkCells;
+  static_assert(kIndexResolveChunkCells == 32 * 32,
+                "`one_chunk` below must hold exactly one chunk of cells");
+  SfcDbOptions options;
+  options.table_options.memtable_flush_entries = 1000;
+  auto db_result = SfcDb::Open(FreshDir("chunks"), options);
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto& db = *db_result.value();
+  ASSERT_TRUE(db.CreateTable("t", "onion", Universe(2, kSide)).ok());
+  ASSERT_TRUE(db.CreateIndex("t", {"ix", "swap_xy", "hilbert"}).ok());
+  // 4096 cells (four chunks), 6144 rows: cells with y >= 32 hold two.
+  FillGrid(db, "t", kSide, 32);
+  auto base = db.OpenTable("t");
+  auto index_table = db.IndexTable("t", "ix");
+  ASSERT_TRUE(base.ok() && index_table.ok());
+  const IndexExtractor* extractor = FindIndexExtractor("swap_xy");
+  ASSERT_NE(extractor, nullptr);
+  const Box all(Cell(0, 0), Cell(kSide - 1, kSide - 1));
+  const Box one_chunk(Cell(0, 0), Cell(31, 31));  // 1024 one-row cells
+
+  // More than two chunks: the (cell, payload) multiset of a direct base
+  // read, in nondecreasing index-key order (checked while draining).
+  {
+    auto cursor = db.NewIndexCursor("t", "ix", all);
+    const auto got = DrainIndexCursor(cursor.get(), *base.value(),
+                                      *index_table.value(), *extractor);
+    EXPECT_EQ(got.size(), 6144u);
+    EXPECT_EQ(got, BruteForceIndexQuery(base.value(), *extractor, all));
+  }
+
+  // Limits at the chunk edges: the first `limit` rows of the unlimited
+  // order, and hit_read_budget() exactly when rows were withheld —
+  // including the box whose rows run out exactly at one chunk.
+  std::vector<SpatialEntry> unlimited;
+  {
+    auto cursor = db.NewIndexCursor("t", "ix", all);
+    unlimited = DrainCursor(cursor.get());
+    ASSERT_TRUE(cursor->status().ok());
+  }
+  for (const uint64_t limit : {kChunk - 1, kChunk, kChunk + 1}) {
+    for (const auto& [box, total] :
+         {std::pair<Box, uint64_t>{all, 6144}, {one_chunk, kChunk}}) {
+      SCOPED_TRACE("limit " + std::to_string(limit) + " box " +
+                   box.ToString());
+      IndexReadOptions limited;
+      limited.limit = limit;
+      auto cursor = db.NewIndexCursor("t", "ix", box, limited);
+      const auto got = DrainCursor(cursor.get());
+      EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
+      EXPECT_EQ(got.size(), std::min(limit, total));
+      EXPECT_EQ(cursor->hit_read_budget(), limit < total);
+      if (total == 6144) {
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].cell, unlimited[i].cell) << i;
+          ASSERT_EQ(got[i].payload, unlimited[i].payload) << i;
+        }
+      }
+    }
+  }
+
+  // A pinned read keeps returning the pinned rows when deletes, new rows,
+  // a flush and a compaction of both tables land between two chunks.
+  const auto pinned_rows = BruteForceIndexQuery(base.value(), *extractor, all);
+  auto snapshot = db.GetSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  IndexReadOptions pinned;
+  pinned.snapshot = snapshot.value();
+  auto cursor = db.NewIndexCursor("t", "ix", all, pinned);
+  std::vector<Row> got;
+  for (int i = 0; i < 100 && cursor->Valid(); ++i, cursor->Next()) {
+    got.emplace_back(base.value()->curve().IndexOf(cursor->entry().cell),
+                     cursor->entry().payload);
+  }
+  WriteBatch churn;
+  for (Coord x = 0; x < kSide; ++x) {
+    for (Coord y = 0; y < kSide; ++y) {
+      if ((x + y) % 3 == 0) churn.Delete("t", Cell(x, y));
+      if ((x + y) % 3 == 1) churn.Put("t", Cell(x, y), 5000000 + x);
+    }
+  }
+  ASSERT_TRUE(db.Write(std::move(churn)).ok());
+  for (SfcTable* table : {base.value(), index_table.value()}) {
+    ASSERT_TRUE(table->Flush().ok());
+    ASSERT_TRUE(table->Compact().ok());
+  }
+  for (; cursor->Valid(); cursor->Next()) {
+    got.emplace_back(base.value()->curve().IndexOf(cursor->entry().cell),
+                     cursor->entry().payload);
+  }
+  EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, pinned_rows);
+  // The latest state moved on.
+  ExpectIndexMatchesBruteForce(db, "t", "ix", "swap_xy", all);
+  EXPECT_NE(BruteForceIndexQuery(base.value(), *extractor, all), pinned_rows);
+  cursor.reset();
+  ASSERT_TRUE(db.Close().ok());
+}
+
+TEST(SecondaryIndexTest, DanglingRowMidChunkIsSkippedAndCountedOnce) {
+  const Coord kSide = 32;
+  auto db_result = SfcDb::Open(FreshDir("dangling"));
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto& db = *db_result.value();
+  ASSERT_TRUE(db.CreateTable("t", "onion", Universe(2, kSide)).ok());
+  ASSERT_TRUE(db.CreateIndex("t", {"ix", "cell", "hilbert"}).ok());
+  FillGrid(db, "t", kSide, 16);
+  auto base = db.OpenTable("t");
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(base.value()->Flush().ok());
+
+  // A direct Delete bypasses the index: the cell's two index entries now
+  // point at a base row that is gone.
+  const Cell gone(20, 20);
+  ASSERT_TRUE(base.value()->Delete(gone).ok());
+  obs::Counter* dangling = db.metrics().counter("index.dangling_entries");
+  const uint64_t dangling_before = dangling->value();
+  const Box all(Cell(0, 0), Cell(kSide - 1, kSide - 1));
+  ExpectIndexMatchesBruteForce(db, "t", "ix", "cell", all);
+  EXPECT_EQ(dangling->value() - dangling_before, 1u);
+  ASSERT_TRUE(db.Close().ok());
+}
+
+TEST(SecondaryIndexTest, OutOfUniverseIndexEntryFailsAfterTheRowsBeforeIt) {
+  const Coord kSide = 32;
+  auto db_result = SfcDb::Open(FreshDir("corrupt_entry"));
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto& db = *db_result.value();
+  ASSERT_TRUE(db.CreateTable("t", "onion", Universe(2, kSide)).ok());
+  ASSERT_TRUE(db.CreateIndex("t", {"ix", "cell", "hilbert"}).ok());
+  FillGrid(db, "t", kSide, 16);
+  const Cell hole(20, 20);
+  WriteBatch clear;
+  clear.Delete("t", hole);
+  ASSERT_TRUE(db.Write(std::move(clear)).ok());
+  auto base = db.OpenTable("t");
+  auto index_table = db.IndexTable("t", "ix");
+  ASSERT_TRUE(base.ok() && index_table.ok());
+  const SpaceFillingCurve& base_curve = base.value()->curve();
+  const SpaceFillingCurve& index_curve = index_table.value()->curve();
+  // The hidden handle can write an entry whose base key lies outside the
+  // base universe (the `cell` extractor makes index cell == base cell).
+  ASSERT_TRUE(
+      index_table.value()->Insert(hole, base_curve.num_cells() + 7).ok());
+
+  // Expected: every row whose index key precedes the hole's, in index
+  // order with ascending payloads per cell.
+  const Key hole_key = index_curve.IndexOf(hole);
+  std::vector<std::pair<Key, Row>> before;
+  {
+    auto scan = base.value()->NewScanCursor();
+    for (; scan->Valid(); scan->Next()) {
+      const SpatialEntry& e = scan->entry();
+      const Key index_key = index_curve.IndexOf(e.cell);
+      if (index_key < hole_key) {
+        before.push_back({index_key, {base_curve.IndexOf(e.cell), e.payload}});
+      }
+    }
+  }
+  std::sort(before.begin(), before.end());
+  std::vector<Row> want;
+  for (const auto& [index_key, row] : before) want.push_back(row);
+  ASSERT_GT(want.size(), 0u);
+  ASSERT_LT(want.size(), static_cast<size_t>(kSide) * kSide);
+
+  auto cursor = db.NewIndexCursor("t", "ix",
+                                  Box(Cell(0, 0), Cell(kSide - 1, kSide - 1)));
+  std::vector<Row> got;
+  for (; cursor->Valid(); cursor->Next()) {
+    EXPECT_TRUE(cursor->status().ok());
+    got.emplace_back(base_curve.IndexOf(cursor->entry().cell),
+                     cursor->entry().payload);
+  }
+  EXPECT_EQ(cursor->status().code(), StatusCode::kCorruption)
+      << cursor->status().ToString();
+  EXPECT_EQ(got, want);
+  cursor.reset();
+  ASSERT_TRUE(db.Close().ok());
+}
+
+TEST(SecondaryIndexTest, ResolutionReadsNoPageThatPointGetsSkip) {
+  const Coord kSide = 128;
+  const std::string dir = FreshDir("resolution_pages");
+  SfcDbOptions options;
+  options.table_options.entries_per_page = 16;
+  options.pool_pages = 1 << 14;  // the whole table: no evictions
+  {
+    auto db_result = SfcDb::Open(dir, options);
+    ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+    auto& db = *db_result.value();
+    ASSERT_TRUE(db.CreateTable("t", "onion", Universe(2, kSide)).ok());
+    ASSERT_TRUE(db.CreateIndex("t", {"ix", "cell", "hilbert"}).ok());
+    // About a third of the cells, one row each: key gaps of every length
+    // around the page size.
+    Rng rng(0x9a6e5);
+    for (Coord x = 0; x < kSide; ++x) {
+      WriteBatch batch;
+      for (Coord y = 0; y < kSide; ++y) {
+        if (rng.UniformInclusive(2) == 0) batch.Put("t", Cell(x, y), x + y);
+      }
+      ASSERT_TRUE(db.Write(std::move(batch)).ok());
+    }
+    auto index_table = db.IndexTable("t", "ix");
+    ASSERT_TRUE(index_table.ok());
+    for (SfcTable* table : {db.GetTable("t"), index_table.value()}) {
+      ASSERT_TRUE(table->Flush().ok());
+      ASSERT_TRUE(table->Compact().ok());
+    }
+    ASSERT_TRUE(db.Close().ok());
+  }
+
+  // Base page reads of `read` from a cold pool (a freshly opened db).
+  const auto cold_base_reads = [&](const auto& read) -> uint64_t {
+    auto db_result = SfcDb::Open(dir, options);
+    EXPECT_TRUE(db_result.ok()) << db_result.status().ToString();
+    auto& db = *db_result.value();
+    auto base = db.OpenTable("t");
+    EXPECT_TRUE(base.ok());
+    const uint64_t before = base.value()->io_stats().page_reads;
+    read(db, base.value());
+    const uint64_t reads = base.value()->io_stats().page_reads - before;
+    EXPECT_TRUE(db.Close().ok());
+    return reads;
+  };
+  for (const Box& box : {Box(Cell(30, 50), Cell(69, 89)),
+                         Box(Cell(0, 0), Cell(kSide - 1, kSide - 1))}) {
+    SCOPED_TRACE(box.ToString());
+    std::vector<Cell> cells;
+    const uint64_t walk_reads = cold_base_reads([&](SfcDb& db, SfcTable*) {
+      auto cursor = db.NewIndexCursor("t", "ix", box);
+      for (; cursor->Valid(); cursor->Next()) {
+        if (cells.empty() || cells.back() != cursor->entry().cell) {
+          cells.push_back(cursor->entry().cell);
+        }
+      }
+      EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
+    });
+    const uint64_t get_reads = cold_base_reads([&](SfcDb&, SfcTable* base) {
+      for (const Cell& cell : cells) EXPECT_TRUE(base->Get(cell).ok());
+    });
+    ASSERT_GT(cells.size(), 100u);
+    EXPECT_GT(walk_reads, 0u);
+    EXPECT_LE(walk_reads, get_reads);
+  }
+}
+
+/// The base-table box whose cells `extractor` maps onto `box`.
+Box PreimageBox(const std::string& extractor, const Box& box, Coord side) {
+  if (extractor == "swap_xy") {
+    return Box(Cell(box.lo[1], box.lo[0]), Cell(box.hi[1], box.hi[0]));
+  }
+  EXPECT_EQ(extractor, "mirror_x");
+  return Box(Cell(side - 1 - box.hi[0], box.lo[1]),
+             Cell(side - 1 - box.lo[0], box.hi[1]));
+}
+
+/// (base key, payload) rows of a direct base box query, sorted.
+std::vector<Row> BaseBoxRows(SfcTable* base, const Box& box) {
+  std::vector<Row> rows;
+  auto cursor = base->NewBoxCursor(box);
+  for (; cursor->Valid(); cursor->Next()) {
+    rows.emplace_back(base->curve().IndexOf(cursor->entry().cell),
+                      cursor->entry().payload);
+  }
+  EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Index results against a direct base query over the preimage box, after
+// a backfill and online maintenance through SfcDb::Write: the (cell,
+// payload) multisets match exactly and nothing dangles.
+TEST(SecondaryIndexTest, IndexQueriesMatchBaseBoxQueries) {
+  const Coord kSide = 64;
+  for (const std::string extractor_name : {"swap_xy", "mirror_x"}) {
+    SCOPED_TRACE(extractor_name);
+    SfcDbOptions options;
+    options.table_options.memtable_flush_entries = 512;
+    auto db_result = SfcDb::Open(FreshDir("base_truth_" + extractor_name),
+                                 options);
+    ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+    auto& db = *db_result.value();
+    ASSERT_TRUE(db.CreateTable("t", "onion", Universe(2, kSide)).ok());
+    Rng rng(0xba5e + extractor_name.size());
+    ApplyRandomOps(db, "t", rng, 1500, kSide);  // backfilled by CreateIndex
+    ASSERT_TRUE(
+        db.CreateIndex("t", {"ix", extractor_name, "hilbert"}).ok());
+    ApplyRandomOps(db, "t", rng, 1500, kSide);  // maintained online
+    auto base = db.OpenTable("t");
+    auto index_table = db.IndexTable("t", "ix");
+    ASSERT_TRUE(base.ok() && index_table.ok());
+    const IndexExtractor* extractor = FindIndexExtractor(extractor_name);
+    ASSERT_NE(extractor, nullptr);
+    obs::Counter* dangling = db.metrics().counter("index.dangling_entries");
+    const uint64_t dangling_before = dangling->value();
+
+    std::vector<Box> boxes = {Box(Cell(0, 0), Cell(kSide - 1, kSide - 1))};
+    for (int i = 0; i < 24; ++i) boxes.push_back(RandomBox(rng, kSide));
+    for (const Box& box : boxes) {
+      SCOPED_TRACE(box.ToString());
+      auto cursor = db.NewIndexCursor("t", "ix", box);
+      const auto got = DrainIndexCursor(cursor.get(), *base.value(),
+                                        *index_table.value(), *extractor);
+      EXPECT_EQ(got, BaseBoxRows(base.value(),
+                                 PreimageBox(extractor_name, box, kSide)));
+    }
+    EXPECT_EQ(dangling->value(), dangling_before);
+    ASSERT_TRUE(db.Close().ok());
+  }
 }
 
 }  // namespace
