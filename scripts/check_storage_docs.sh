@@ -5,7 +5,8 @@
 #    format spec and the architecture map can never silently drift behind
 #    the code;
 # 2. the core query/catalog API names must appear in docs/api.md, so the
-#    cursor/catalog documentation cannot silently rot either;
+#    cursor/catalog documentation cannot silently rot either, and removed
+#    API names must not appear in docs/*.md or README.md;
 # 3. every file under src/obs/ must be mentioned in
 #    docs/observability.md, and the observability surface (metric types,
 #    exporters, trace ring, bench report) must be documented there too;
@@ -34,9 +35,17 @@ for symbol in SfcDb SfcTable Cursor ReadOptions NewBoxCursor NewScanCursor \
               Delete last_sequence Corruption CRC32C \
               SecondaryIndexSpec IndexExtractor CreateIndex DropIndex \
               ListIndexes IndexTable NewIndexCursor IndexReadOptions \
-              AdviseCurve CurveAdvice MigrateIndexCurve NewResolveCursor; do
+              NewResolveCursor; do
   if ! grep -q "$symbol" docs/api.md; then
     echo "UNDOCUMENTED API: $symbol (document it in docs/api.md)"
+    fail=1
+  fi
+done
+# Removed APIs must not linger in the user-facing docs.
+for symbol in AdviseCurve MigrateIndexCurve CurveAdvice curve_advisor \
+              analysis/advisor; do
+  if grep -q "$symbol" docs/*.md README.md; then
+    echo "REMOVED API STILL DOCUMENTED: $symbol (delete it from docs/*.md and README.md)"
     fail=1
   fi
 done

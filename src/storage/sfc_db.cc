@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,10 +26,6 @@ constexpr int kCatalogVersion = 2;
 /// index names must not contain it, so hidden directories can never
 /// collide with cataloged tables.
 constexpr char kHiddenIndexInfix[] = "__idx__";
-
-/// Capacity of each index's observed-query-box ring (the AdviseCurve
-/// workload sample).
-constexpr size_t kObservedBoxRingCapacity = 128;
 
 /// Ops per WriteOps call when backfilling an index from a base scan.
 constexpr size_t kBackfillBatchOps = 1024;
@@ -81,17 +75,20 @@ bool ValidTableName(const std::string& name) {
   return true;
 }
 
-/// Hidden index directory names are composed of two validated names plus
-/// fixed infixes, so they use the same character set but may exceed the
-/// 255-char table-name cap.
-bool ValidIndexDirName(const std::string& name) {
-  if (name.empty() || name.size() > 600) return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return name.find(kHiddenIndexInfix) != std::string::npos;
+/// Whether a catalog `index` line for (table, index) may name `dir`:
+/// exactly "<table>__idx__<index>", or that name plus "__g<digits>" (the
+/// generation suffix earlier versions wrote; read, never written). Any
+/// other name could point the index at a directory that belongs to
+/// another index or table, which DropIndex would then delete.
+bool IsIndexDirOf(const std::string& dir, const std::string& table,
+                  const std::string& index) {
+  const std::string stem = table + kHiddenIndexInfix + index;
+  if (dir == stem) return true;
+  const std::string generation_prefix = stem + "__g";
+  return dir.size() > generation_prefix.size() &&
+         dir.compare(0, generation_prefix.size(), generation_prefix) == 0 &&
+         std::all_of(dir.begin() + generation_prefix.size(), dir.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
 }
 
 }  // namespace
@@ -226,7 +223,7 @@ Result<std::unique_ptr<SfcDb>> SfcDb::Open(const std::string& dir,
                                            dir);
           }
           if (!ValidTableName(table) || !ValidTableName(index) ||
-              !ValidIndexDirName(index_dir)) {
+              !IsIndexDirOf(index_dir, table, index)) {
             return Status::InvalidArgument("invalid index line '" + table + " " +
                                            index + " " + index_dir +
                                            "' in catalog of " + dir);
@@ -281,6 +278,14 @@ Result<std::unique_ptr<SfcDb>> SfcDb::Open(const std::string& dir,
       for (const IndexInfo& info : infos) live_dirs.push_back(info.dir);
     }
     std::sort(live_dirs.begin(), live_dirs.end());
+    // One directory per catalog line: a shared one would be deleted by
+    // the first DropIndex/DropTable while another line still names it.
+    const auto shared = std::adjacent_find(live_dirs.begin(), live_dirs.end());
+    if (shared != live_dirs.end()) {
+      return Status::InvalidArgument("directory '" + *shared +
+                                     "' named by two lines in catalog of " +
+                                     dir);
+    }
   }
   // GC: a crash between "create table dir" and "catalog it" (or between
   // "uncatalog it" and "delete the dir") leaves an orphaned table
@@ -292,8 +297,7 @@ Result<std::unique_ptr<SfcDb>> SfcDb::Open(const std::string& dir,
   // next Open anyway).
   // The live set is the cataloged tables PLUS every cataloged index's
   // hidden directory — so a crash mid-CreateIndex (directory built,
-  // catalog not yet rewritten) or mid-migration (new generation built,
-  // swap not yet durable) leaves a directory this sweep collects.
+  // catalog not yet rewritten) leaves a directory this sweep collects.
   const auto is_live_dir = [&live_dirs](const std::string& name) {
     return std::binary_search(live_dirs.begin(), live_dirs.end(), name);
   };
@@ -1081,7 +1085,7 @@ std::unique_ptr<Cursor> SfcDb::NewIndexCursor(const std::string& table,
       return NewErrorCursor(
           Status::InvalidArgument("database is closed: " + dir_));
     }
-    IndexInfo* info = FindIndexLocked(table, index);
+    const IndexInfo* info = FindIndexLocked(table, index);
     if (info == nullptr) {
       return NewErrorCursor(Status::NotFound("no index '" + index +
                                              "' on table '" + table +
@@ -1093,17 +1097,6 @@ std::unique_ptr<Cursor> SfcDb::NewIndexCursor(const std::string& table,
     if (!index_result.ok()) return NewErrorCursor(index_result.status());
     base = base_result.value();
     index_table = index_result.value();
-    // Record the served box into the index's observed-workload ring (the
-    // AdviseCurve default input). Invalid boxes are not a workload.
-    if (index_table->curve().universe().Contains(box)) {
-      if (info->observed_boxes.size() < kObservedBoxRingCapacity) {
-        info->observed_boxes.push_back(box);
-      } else {
-        info->observed_boxes[info->observed_next] = box;
-        info->observed_next =
-            (info->observed_next + 1) % kObservedBoxRingCapacity;
-      }
-    }
   }
   index_queries_->Increment();
   // One consistent cross-table pin for the index scan AND the base
@@ -1122,111 +1115,6 @@ std::unique_ptr<Cursor> SfcDb::NewIndexCursor(const std::string& table,
   return NewIndexResolveCursor(std::move(inner), base, pin->ForTable(base),
                                pin, options.limit, index_dangling_,
                                index_rows_resolved_);
-}
-
-Result<CurveAdvice> SfcDb::AdviseCurve(const std::string& table,
-                                       const std::string& index,
-                                       const std::vector<Box>& boxes,
-                                       const DiskModel& model) {
-  std::vector<Box> workload = boxes;
-  std::optional<Universe> universe;
-  {
-    const MutexLock lock(db_mu_);
-    if (closed_) return Status::InvalidArgument("database is closed: " + dir_);
-    IndexInfo* info = FindIndexLocked(table, index);
-    if (info == nullptr) {
-      return Status::NotFound("no index '" + index + "' on table '" + table +
-                              "' in " + dir_);
-    }
-    auto index_table = OpenAnyTableLocked(info->dir, options_.table_options);
-    if (!index_table.ok()) return index_table.status();
-    universe = index_table.value()->curve().universe();
-    if (workload.empty()) workload = info->observed_boxes;
-  }
-  if (workload.empty()) {
-    return Status::InvalidArgument(
-        "no observed query boxes for index '" + index + "' on table '" +
-        table + "' — pass boxes explicitly or run NewIndexCursor queries "
-        "first");
-  }
-  // The exact clustering evaluation is CPU-heavy (O(n) per candidate
-  // curve); it runs on copies, outside every database lock.
-  return ::onion::AdviseCurve(*universe, workload, model);
-}
-
-Status SfcDb::MigrateIndexCurve(const std::string& table,
-                                const std::string& index,
-                                const std::string& new_curve) {
-  // Offline rebuild: hold batch_mu_ so no Write lands between the
-  // backfill scan and the catalog swap (the new generation would miss
-  // it).
-  const MutexLock batch_lock(batch_mu_);
-  const MutexLock lock(db_mu_);
-  if (closed_) return Status::InvalidArgument("database is closed: " + dir_);
-  if (!ValidTableName(new_curve)) {
-    return Status::InvalidArgument("invalid curve name '" + new_curve + "'");
-  }
-  IndexInfo* info = FindIndexLocked(table, index);
-  if (info == nullptr) {
-    return Status::NotFound("no index '" + index + "' on table '" + table +
-                            "' in " + dir_);
-  }
-  if (info->spec.curve == new_curve) return Status::OK();
-  auto base = OpenTableLocked(table, options_.table_options);
-  if (!base.ok()) return base.status();
-  if (auto probe = MakeCurve(new_curve,
-                             info->extractor->index_universe(
-                                 base.value()->curve().universe()));
-      !probe.ok()) {
-    return Status::InvalidArgument("curve '" + new_curve +
-                                   "' is not usable for index '" + index +
-                                   "': " + probe.status().message());
-  }
-  // Each rebuild gets a fresh generation-suffixed directory, so the old
-  // and new generations coexist until the atomic catalog rewrite picks
-  // the winner; whichever loses (crash included) is an orphan.
-  const std::string stem = table + kHiddenIndexInfix + info->spec.name;
-  const std::string generation_prefix = stem + "__g";
-  uint64_t generation = 2;
-  if (info->dir.compare(0, generation_prefix.size(), generation_prefix) == 0) {
-    generation =
-        std::strtoull(info->dir.c_str() + generation_prefix.size(), nullptr,
-                      10) +
-        1;
-  }
-  const std::string new_dir =
-      generation_prefix + std::to_string(generation);
-  auto built =
-      BuildIndexTableLocked(base.value(), *info->extractor, new_curve, new_dir);
-  if (!built.ok()) return built.status();
-  const std::string old_dir = info->dir;
-  const std::string old_curve = info->spec.curve;
-  info->dir = new_dir;
-  info->spec.curve = new_curve;
-  const Status status = WriteCatalogLocked();
-  if (!status.ok()) {
-    info->dir = old_dir;
-    info->spec.curve = old_curve;
-    built = Status::Internal("rollback");  // destroy the handle first
-    std::error_code ec;
-    std::filesystem::remove_all(TablePath(new_dir), ec);
-    return status;
-  }
-  open_tables_[new_dir] = std::move(built).value();
-  const auto open_it = open_tables_.find(old_dir);
-  if (open_it != open_tables_.end()) {
-    // The old generation is deleted right below; a close error is moot.
-    (void)open_it->second->Close();
-    open_tables_.erase(open_it);
-  }
-  std::error_code ec;
-  std::filesystem::remove_all(TablePath(old_dir), ec);
-  if (ec) {
-    return Status::Internal("index '" + index + "' migrated to '" + new_curve +
-                            "' but the old generation could not be removed: " +
-                            ec.message());
-  }
-  return Status::OK();
 }
 
 std::string SfcDb::DumpMetrics(obs::MetricsFormat format) const {

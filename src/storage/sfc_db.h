@@ -26,9 +26,9 @@
 //   <name>/         one SfcTable directory per cataloged table (MANIFEST,
 //                   seg_*.sfc, wal_*.log — see docs/storage_format.md)
 //   <t>__idx__<i>/  one hidden SfcTable directory per secondary index
-//                   (possibly generation-suffixed after a curve
-//                   migration); live only while a catalog `index` line
-//                   names it
+//                   (catalogs of earlier versions may name it with a
+//                   "__g<N>" suffix); live only while a catalog `index`
+//                   line names it
 //
 // Secondary indexes (storage/index_spec.h): CreateIndex(table, spec)
 // re-keys the table's cells through spec.extractor and spec.curve into a
@@ -39,11 +39,7 @@
 // entry, or vice versa. (The flip side: writes to an indexed table MUST
 // go through SfcDb::Write — direct SfcTable::Insert/Delete on the base
 // handle would silently bypass index maintenance.) NewIndexCursor scans
-// the index by box and resolves base rows snapshot-consistently;
-// AdviseCurve ranks every registry curve on the boxes those scans
-// actually served (or caller-provided ones), and MigrateIndexCurve
-// rebuilds the index under the recommendation offline — crash-safe via
-// the same orphan-GC rule as table creation.
+// the index by box and resolves base rows snapshot-consistently.
 //
 // Versioned writes and reads: Write(WriteBatch&&) commits any mix of
 // Put/Delete ops spanning any number of tables atomically — recovery
@@ -78,11 +74,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/advisor.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "index/disk_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
@@ -245,34 +239,13 @@ class SfcDb {
   /// index-curve-key order; each delivered entry is a base row (base
   /// cell + payload). Index and base are read at one consistent
   /// DbSnapshot — options.snapshot, or a fresh pin taken here and held by
-  /// the cursor. The box is also recorded in the index's observed-query
-  /// ring, the workload AdviseCurve consumes. Errors (unknown table or
-  /// index, out-of-universe box, closed db) arrive as an error cursor.
+  /// the cursor. Errors (unknown table or index, out-of-universe box,
+  /// closed db) arrive as an error cursor.
   /// The cursor must not outlive the database.
   std::unique_ptr<Cursor> NewIndexCursor(const std::string& table,
                                          const std::string& index,
                                          const Box& box,
                                          const IndexReadOptions& options = {});
-
-  /// Ranks every registry curve on `boxes` (empty: the index's recorded
-  /// observed-query ring) under `model` and returns the cheapest —
-  /// analysis/advisor.h wired to this index's universe. InvalidArgument
-  /// when no boxes are available. Pure analysis: no index state changes;
-  /// pass the recommendation to MigrateIndexCurve to act on it.
-  Result<CurveAdvice> AdviseCurve(const std::string& table,
-                                  const std::string& index,
-                                  const std::vector<Box>& boxes = {},
-                                  const DiskModel& model = DiskModel::Hdd());
-
-  /// Rebuilds the index under `new_curve` (offline: blocks Write and
-  /// GetSnapshot for the duration): backfills a fresh generation of the
-  /// hidden table from the base, then atomically swaps the catalog to it
-  /// and deletes the old generation. A crash at any instant leaves
-  /// exactly one cataloged, complete index directory (the other
-  /// generation is an orphan for the next Open). No-op when the index
-  /// already uses `new_curve`.
-  Status MigrateIndexCurve(const std::string& table, const std::string& index,
-                           const std::string& new_curve);
 
   /// Clean shutdown: Close()s every open table (flush + quiesce), then
   /// stops the shared workers. Idempotent; returns the first table error.
@@ -312,13 +285,10 @@ class SfcDb {
   struct IndexInfo {
     SecondaryIndexSpec spec;
     /// Hidden table directory name (also its open_tables_ key):
-    /// "<table>__idx__<index>", generation-suffixed after migrations.
+    /// "<table>__idx__<index>", or that name plus "__g<N>" in catalogs
+    /// written by earlier versions.
     std::string dir;
     const IndexExtractor* extractor = nullptr;
-    /// Bounded ring of the boxes NewIndexCursor served — the observed
-    /// workload AdviseCurve evaluates by default.
-    std::vector<Box> observed_boxes;
-    size_t observed_next = 0;
   };
 
   std::string TablePath(const std::string& name) const;

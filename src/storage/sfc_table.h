@@ -380,7 +380,7 @@ class SfcTable {
       ONION_EXCLUDES(mu_);
   /// The single-table commit: reserve + apply + (optionally) group-commit
   /// fsync. Insert and Delete are one-op wrappers; SfcDb's secondary-index
-  /// backfill (CreateIndex/MigrateIndexCurve) batches through here too.
+  /// backfill (CreateIndex) batches through here too.
   Status WriteOps(const WalOp* ops, size_t count)
       ONION_EXCLUDES(wal_mu_, mu_);
   /// Open-time only (no concurrent writers): re-applies a batch-journal

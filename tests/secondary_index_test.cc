@@ -2,13 +2,15 @@
 // queries and brute-force base scans across flush/compaction/reopen and
 // three index curves, crash consistency of the base+index WriteBatch
 // expansion (hard _Exit mid-stream, then WAL loss on either side),
-// AdviseCurve/MigrateIndexCurve, catalog lifecycle and validation, read
-// budgets and snapshot reads, and a concurrency smoke for TSan.
+// catalog lifecycle and validation (including index directories named by
+// catalogs of earlier versions), read budgets and snapshot reads, and a
+// concurrency smoke for TSan.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -333,91 +335,131 @@ TEST(SecondaryIndexTest, CrashRecoveryAfterBaseWalLoss) {
   RunCrashTest(FreshDir("crash_base_wal"), "t");
 }
 
-// --- Tentpole: curve advice from the observed workload, and migration.
+// --- Catalogs written by earlier versions, and catalog-line validation.
 
-TEST(SecondaryIndexTest, AdviseCurveAndMigrate) {
+/// Overwrites the CATALOG of the (closed) database at `dir`.
+void WriteCatalog(const std::string& dir, const std::string& text) {
+  std::ofstream(dir + "/CATALOG", std::ios::trunc) << text;
+}
+
+// Earlier versions could rebuild an index into a generation-suffixed
+// directory ("<table>__idx__<index>__g<N>") and catalog that name. Such a
+// catalog still opens, and the index keeps answering queries, being
+// maintained by Write, surviving reopen and dropping cleanly.
+TEST(SecondaryIndexTest, LegacyGenerationSuffixedIndexDir) {
   const Coord kSide = 16;
   const Universe universe(2, kSide);
-  const std::string dir = FreshDir("advise");
-  auto db_result = SfcDb::Open(dir);
-  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
-  auto& db = *db_result.value();
-  ASSERT_TRUE(db.CreateTable("t", "onion", universe).ok());
-  ASSERT_TRUE(db.CreateIndex("t", {"ix", "cell", "zorder"}).ok());
-
+  const Box whole(Cell(0, 0), Cell(kSide - 1, kSide - 1));
+  const std::string dir = FreshDir("legacy_generation");
   Rng rng(20260808);
-  ApplyRandomOps(db, "t", rng, 300, kSide);
-
-  // No queries served yet and no boxes passed: nothing to advise on.
-  EXPECT_EQ(db.AdviseCurve("t", "ix").status().code(),
-            StatusCode::kInvalidArgument);
-
-  // Serve full-width height-2 strips — the workload a row-linear curve
-  // answers in exactly one cluster.
-  for (Coord y = 0; y + 1 < kSide; y += 2) {
-    auto cursor = db.NewIndexCursor(
-        "t", "ix", Box(Cell(0, y), Cell(kSide - 1, y + 1)));
-    while (cursor->Valid()) cursor->Next();
-    ASSERT_TRUE(cursor->status().ok()) << cursor->status().ToString();
+  {
+    auto db = SfcDb::Open(dir);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(db.value()->CreateTable("t", "onion", universe).ok());
+    ASSERT_TRUE(db.value()->CreateIndex("t", {"ix", "cell", "zorder"}).ok());
+    ApplyRandomOps(*db.value(), "t", rng, 300, kSide);
+    ASSERT_TRUE(db.value()->Close().ok());
   }
-  auto advice = db.AdviseCurve("t", "ix");
-  ASSERT_TRUE(advice.ok()) << advice.status().ToString();
-  EXPECT_TRUE(advice.value().recommended == "row_major" ||
-              advice.value().recommended == "snake")
-      << advice.value().recommended;
-  ASSERT_FALSE(advice.value().ranked.empty());
-  EXPECT_DOUBLE_EQ(advice.value().ranked.front().avg_clusters, 1.0);
-  for (size_t i = 1; i < advice.value().ranked.size(); ++i) {
-    EXPECT_LE(advice.value().ranked[i - 1].modeled_ms_per_query,
-              advice.value().ranked[i].modeled_ms_per_query);
-  }
+  std::filesystem::rename(dir + "/t__idx__ix", dir + "/t__idx__ix__g2");
+  WriteCatalog(dir,
+               "onion-sfc-db 2\ntable t\n"
+               "index t ix cell zorder t__idx__ix__g2\n");
+  // A stale unsuffixed directory holding a MANIFEST is uncataloged, so
+  // Open's orphan sweep collects it.
+  std::filesystem::create_directories(dir + "/t__idx__ix");
+  std::ofstream(dir + "/t__idx__ix/MANIFEST") << "stale\n";
 
-  // Explicit boxes override the recorded ring: full-height width-2 strips
-  // make column_major the unique single-cluster answer.
-  std::vector<Box> columns;
-  for (Coord x = 0; x + 1 < kSide; x += 2) {
-    columns.push_back(Box(Cell(x, 0), Cell(x + 1, kSide - 1)));
-  }
-  auto column_advice = db.AdviseCurve("t", "ix", columns);
-  ASSERT_TRUE(column_advice.ok()) << column_advice.status().ToString();
-  EXPECT_EQ(column_advice.value().recommended, "column_major");
-
-  // Migrate to the row recommendation and verify the rebuilt index still
-  // answers every query identically.
-  const std::string new_curve = advice.value().recommended;
-  ASSERT_TRUE(db.MigrateIndexCurve("t", "ix", new_curve).ok());
-  auto specs = db.ListIndexes("t");
-  ASSERT_EQ(specs.size(), 1u);
-  EXPECT_EQ(specs[0].curve, new_curve);
-  auto index_table = db.IndexTable("t", "ix");
-  ASSERT_TRUE(index_table.ok());
-  EXPECT_EQ(index_table.value()->curve().name(), new_curve);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/t__idx__ix"));
-  ExpectIndexMatchesBruteForce(db, "t", "ix", "cell",
-                               Box(Cell(0, 0), Cell(kSide - 1, kSide - 1)));
-  for (int i = 0; i < 6; ++i) {
-    ExpectIndexMatchesBruteForce(db, "t", "ix", "cell",
-                                 RandomBox(rng, kSide));
+  {
+    auto reopened = SfcDb::Open(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto& db = *reopened.value();
+    EXPECT_FALSE(std::filesystem::exists(dir + "/t__idx__ix"));
+    const auto specs = db.ListIndexes("t");
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(specs[0].name, "ix");
+    EXPECT_EQ(specs[0].extractor, "cell");
+    EXPECT_EQ(specs[0].curve, "zorder");
+    auto index_table = db.IndexTable("t", "ix");
+    ASSERT_TRUE(index_table.ok()) << index_table.status().ToString();
+    EXPECT_EQ(index_table.value()->curve().name(), "zorder");
+    ExpectIndexMatchesBruteForce(db, "t", "ix", "cell", whole);
+    for (int i = 0; i < 6; ++i) {
+      ExpectIndexMatchesBruteForce(db, "t", "ix", "cell",
+                                   RandomBox(rng, kSide));
+    }
+    // Write keeps maintaining the suffixed directory.
+    ApplyRandomOps(db, "t", rng, 100, kSide);
+    ExpectIndexMatchesBruteForce(db, "t", "ix", "cell", whole);
+    ASSERT_TRUE(db.Close().ok());
   }
 
-  // Maintenance continues on the migrated generation; a migration to the
-  // current curve is a no-op.
-  ApplyRandomOps(db, "t", rng, 100, kSide);
-  ASSERT_TRUE(db.MigrateIndexCurve("t", "ix", new_curve).ok());
-  ExpectIndexMatchesBruteForce(db, "t", "ix", "cell",
-                               Box(Cell(0, 0), Cell(kSide - 1, kSide - 1)));
-  ASSERT_TRUE(db.Close().ok());
-
-  // The migrated curve is what the catalog remembers.
+  // The suffixed name survives a reopen (Open does not rewrite it), and
+  // DropIndex removes exactly that directory.
   auto reopened = SfcDb::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto& db2 = *reopened.value();
-  auto specs2 = db2.ListIndexes("t");
-  ASSERT_EQ(specs2.size(), 1u);
-  EXPECT_EQ(specs2[0].curve, new_curve);
-  ExpectIndexMatchesBruteForce(db2, "t", "ix", "cell",
-                               Box(Cell(0, 0), Cell(kSide - 1, kSide - 1)));
-  ASSERT_TRUE(db2.Close().ok());
+  auto& db = *reopened.value();
+  ASSERT_EQ(db.ListIndexes("t").size(), 1u);
+  ExpectIndexMatchesBruteForce(db, "t", "ix", "cell", whole);
+  ASSERT_TRUE(db.DropIndex("t", "ix").ok());
+  EXPECT_FALSE(std::filesystem::exists(dir + "/t__idx__ix__g2"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/t"));
+  EXPECT_TRUE(db.ListIndexes("t").empty());
+  ASSERT_TRUE(db.Close().ok());
+}
+
+// A catalog `index` line must name its own directory. A foreign one
+// (which DropIndex would delete from under its owner), one named by two
+// lines, or a malformed generation suffix is refused at Open — before the
+// orphan sweep touches anything.
+TEST(SecondaryIndexTest, CatalogIndexLineMustNameItsOwnDir) {
+  const Universe universe(2, 16);
+  const std::string dir = FreshDir("catalog_dirs");
+  {
+    auto db = SfcDb::Open(dir);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(db.value()->CreateTable("u", "onion", universe).ok());
+    ASSERT_TRUE(db.value()->CreateTable("v", "onion", universe).ok());
+    ASSERT_TRUE(db.value()->CreateIndex("u", {"a", "cell", "zorder"}).ok());
+    ASSERT_TRUE(db.value()->CreateIndex("v", {"ix", "cell", "zorder"}).ok());
+    ASSERT_TRUE(db.value()->Close().ok());
+  }
+  const std::string tables = "onion-sfc-db 2\ntable u\ntable v\n";
+  const std::vector<std::string> rejected = {
+      // Foreign: u's index names v's index directory.
+      tables + "index u a cell zorder v__idx__ix\n",
+      tables + "index u a cell zorder u__idx__v\n",
+      // Shared: each line passes the name check, but both name one
+      // directory (two indexes, or a table and an index).
+      tables + "index u a cell zorder u__idx__a__g2\n"
+               "index u a__g2 cell zorder u__idx__a__g2\n",
+      tables + "table u__idx__a\nindex u a cell zorder u__idx__a\n",
+      // A generation suffix is "__g" and one or more digits.
+      tables + "index u a cell zorder u__idx__a__gx\n",
+      tables + "index u a cell zorder u__idx__a__g\n",
+      tables + "index u a cell zorder u__idx__a__g2x\n",
+      tables + "index u a cell zorder u__idx__a_g2\n",
+  };
+  for (const std::string& catalog : rejected) {
+    SCOPED_TRACE(catalog);
+    WriteCatalog(dir, catalog);
+    auto db = SfcDb::Open(dir);
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The refused opens swept nothing: the catalog the db wrote still
+  // opens with both indexes intact.
+  EXPECT_TRUE(std::filesystem::exists(dir + "/u__idx__a"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/v__idx__ix"));
+  WriteCatalog(dir, tables +
+                        "index u a cell zorder u__idx__a\n"
+                        "index v ix cell zorder v__idx__ix\n");
+  auto db = SfcDb::Open(dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db.value()->ListIndexes("u").size(), 1u);
+  EXPECT_EQ(db.value()->ListIndexes("v").size(), 1u);
+  ExpectIndexMatchesBruteForce(*db.value(), "v", "ix", "cell",
+                               Box(Cell(0, 0), Cell(15, 15)));
+  ASSERT_TRUE(db.value()->Close().ok());
 }
 
 // --- Catalog lifecycle and validation.
